@@ -3,16 +3,32 @@
 Basis convention matches gates.py: wire 0 is the most significant bit of the
 basis index, so a state over n wires reshaped to [2]*n has axis w == wire w.
 
+Every gate application goes through one kernel, `_apply_kind`, on the [2]*N
+view of a statevector, a density matrix (ket axes, then bra axes with the
+conjugate gate) or a unitary under construction.  Monomial kinds, those whose
+matrix has one nonzero entry per row, each in {1, -1, i, -i} (every
+fixed kind except h: x, y, z, s, sdag, cz, cnot, swap, iswap, iscz, cswap,
+ciswap, ciscz, ccz, and the identity), are applied in place by moving whole
+slices along the cycles of their permutation and multiplying by the phase;
+those multiplies are exact, and diagonal kinds touch only their non-unit
+slices.  The other kinds (h, fsim, xyevol, zzevol, syc) fall back to
+`tensordot` with the gate tensor cached per kind.  Depolarizing noise also
+works in place on the [2]*2n view.
+
 Density matrices cost 4^n; construction is capped (default n <= 10) so a typo
 cannot silently allocate gigabytes.  Statevectors are capped only by memory.
+States copy the array they are built from, so the in-place kernels never
+write into an array the caller still holds.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .gates import gate_matrix
+from .gates import GateKind, gate_matrix
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
@@ -27,7 +43,7 @@ class PureState:
         if vec.shape != (2**n,):
             raise ValueError(f"statevector for {n} wires needs shape {(2**n,)}, got {vec.shape}")
         self.n = n
-        self.vec = np.asarray(vec, dtype=complex)
+        self.vec = np.array(vec, dtype=complex, order="C")
 
     @staticmethod
     def basis(n: int, index: int = 0) -> "PureState":
@@ -43,10 +59,11 @@ class PureState:
         return PureState(len(factors), vec)
 
     def copy(self) -> "PureState":
-        return PureState(self.n, self.vec.copy())
+        return PureState(self.n, self.vec)
 
     def apply_gate(self, gate: Gate) -> None:
-        self.vec = _apply_unitary(self.vec.reshape([2] * self.n), gate).reshape(-1)
+        t = _apply_kind(self.vec.reshape([2] * self.n), gate.kind, gate.wires)
+        self.vec = t.reshape(-1)
 
     def to_density(self, cap: int = DENSITY_WIRE_CAP) -> "MixedState":
         if self.n > cap:
@@ -65,61 +82,134 @@ class MixedState:
         if rho.shape != (2**n, 2**n):
             raise ValueError(f"density matrix for {n} wires needs shape {(2**n, 2**n)}")
         self.n = n
-        self.rho = np.asarray(rho, dtype=complex)
+        self.rho = np.array(rho, dtype=complex, order="C")
 
     @staticmethod
     def basis(n: int, index: int = 0) -> "MixedState":
         return PureState.basis(n, index).to_density()
 
     def copy(self) -> "MixedState":
-        return MixedState(self.n, self.rho.copy())
+        return MixedState(self.n, self.rho)
 
     def apply_gate(self, gate: Gate) -> None:
         n = self.n
         t = self.rho.reshape([2] * (2 * n))
-        t = _apply_tensor(t, gate.kind, gate.wires)  # U rho
+        t = _apply_kind(t, gate.kind, gate.wires)  # U rho
         bra = tuple(n + w for w in gate.wires)
-        t = _apply_tensor(t, gate.kind, bra, conj=True)  # ... U^dag
+        t = _apply_kind(t, gate.kind, bra, conj=True)  # ... U^dag
         self.rho = t.reshape(2**n, 2**n)
 
 
-def _apply_tensor(t: np.ndarray, kind, axes: tuple[int, ...], conj: bool = False) -> np.ndarray:
-    w = len(axes)
+_PHASES = (1, -1, 1j, -1j)
+
+
+@lru_cache(maxsize=256)
+def _monomial_cycles(kind: GateKind) -> tuple[tuple[tuple[int, complex], ...], ...] | None:
+    """The (source index, phase) table of a monomial kind, split into cycles.
+
+    Output index i of the gate takes phase * input index src(i).  A cycle
+    ((i0, ph0), (i1, ph1), ...) lists i1 = src(i0), i2 = src(i1), ... and
+    wraps round; fixed points with phase 1 are left out.  None when the kind
+    is not monomial with power-of-i phases.
+    """
     u = gate_matrix(kind)
-    if conj:
-        u = u.conj()
-    ut = u.reshape([2] * (2 * w))
-    out = np.tensordot(ut, t, axes=(list(range(w, 2 * w)), list(axes)))
-    return np.moveaxis(out, list(range(w)), list(axes))
+    nonzero = u != 0
+    if np.any(nonzero.sum(axis=1) != 1) or not all(z in _PHASES for z in u[nonzero]):
+        return None
+    src = np.argmax(nonzero, axis=1)
+    cycles = []
+    seen: set[int] = set()
+    for start in range(len(u)):
+        cycle = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            cycle.append((i, complex(u[i, src[i]])))
+            i = int(src[i])
+        if cycle and cycle != [(start, 1)]:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
-def _apply_unitary(t: np.ndarray, gate: Gate) -> np.ndarray:
-    return _apply_tensor(t, gate.kind, gate.wires)
+@lru_cache(maxsize=256)
+def _gate_tensor(kind: GateKind, conj: bool) -> np.ndarray:
+    u = gate_matrix(kind)
+    t = (u.conj() if conj else u).reshape([2] * (2 * kind.arity))
+    t.setflags(write=False)
+    return t
+
+
+def _scaled_copy(src: np.ndarray, phase: complex, dst: np.ndarray) -> None:
+    if phase == 1:
+        np.copyto(dst, src)
+    elif phase == -1:
+        np.negative(src, out=dst)
+    else:
+        np.multiply(src, phase, out=dst)
+
+
+def _part(t: np.ndarray, axes: tuple[int, ...], i: int) -> np.ndarray:
+    """View of t with `axes` fixed to the bits of i, the first axis the most
+    significant; the Ellipsis keeps a 0-d view rather than a scalar."""
+    index: list[int | slice] = [slice(None)] * (max(axes) + 1)
+    for k, a in enumerate(axes):
+        index[a] = (i >> (len(axes) - 1 - k)) & 1
+    return t[(*index, ...)]
+
+
+def _apply_kind(
+    t: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: bool = False
+) -> np.ndarray:
+    """Apply the gate (or its elementwise conjugate) to `axes` of the tensor t.
+
+    Monomial kinds update t in place and return it; the others return a new
+    tensor.  Axes beyond the gate's are untouched, so t may carry any trailing
+    shape (circuit_unitary keeps one axis of 2**n columns).
+    """
+    cycles = _monomial_cycles(kind)
+    if cycles is None:
+        w = len(axes)
+        out = np.tensordot(
+            _gate_tensor(kind, conj), t, axes=(list(range(w, 2 * w)), list(axes))
+        )
+        return np.moveaxis(out, list(range(w)), list(axes))
+    for cycle in cycles:
+        parts = [_part(t, axes, i) for i, _ in cycle]
+        phases = [ph.conjugate() if conj else ph for _, ph in cycle]
+        if len(cycle) == 1:
+            _scaled_copy(parts[0], phases[0], parts[0])
+            continue
+        first = parts[0].copy()
+        for k in range(len(cycle) - 1):
+            _scaled_copy(parts[k + 1], phases[k], parts[k])
+        _scaled_copy(first, phases[-1], parts[-1])
+    return t
 
 
 def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
     """Two-qubit depolarizing channel: rho -> (1-p) rho + p Tr_pair(rho) (x) I/4.
 
-    Generalizes to any wire tuple (dimension 2**len(pair)); netbench uses pairs.
+    Generalizes to any wire tuple (dimension d = 2**len(pair)); netbench uses
+    pairs.  Works in place on the [2]*2n view: the d diagonal pair blocks sum
+    to the reduced state, rho is scaled by 1-p, and p * reduced / d is added
+    back onto each diagonal block.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
     if p == 0.0:
         return
-    n, w = state.n, len(pair)
-    d = 2**w
-    rest = [i for i in range(n) if i not in pair]
-    perm = list(pair) + rest + [n + i for i in pair] + [n + i for i in rest]
-    t = state.rho.reshape([2] * (2 * n)).transpose(perm)
-    r = 2 ** len(rest)
-    t = np.ascontiguousarray(t).reshape(d, r, d, r)
-    reduced = np.einsum("arac->rc", t)
-    mixed = np.zeros_like(t)
-    idx = np.arange(d)
-    mixed[idx, :, idx, :] = reduced / d
-    t = (1.0 - p) * t + p * mixed
-    inv = np.argsort(perm)
-    state.rho = t.reshape([2] * (2 * n)).transpose(inv).reshape(2**n, 2**n)
+    n, d = state.n, 2 ** len(pair)
+    t = state.rho.reshape([2] * (2 * n))
+    ket_bra = tuple(pair) + tuple(n + w for w in pair)
+    blocks = [_part(t, ket_bra, a * d + a) for a in range(d)]
+    reduced = blocks[0].copy()
+    for b in blocks[1:]:
+        reduced += b
+    np.multiply(t, 1.0 - p, out=t)
+    mixed = p * (reduced / d)
+    for b in blocks:
+        b += mixed
+    state.rho = t.reshape(2**n, 2**n)
 
 
 # Alias for the common two-wire case; the kernel handles any operand tuple.
@@ -160,7 +250,7 @@ def circuit_unitary(circuit: Circuit, cap: int = UNITARY_WIRE_CAP) -> np.ndarray
         raise ValueError(f"refusing unitary on {n} wires (cap {cap})")
     t = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
     for g in circuit.gates:
-        t = _apply_unitary(t, g)
+        t = _apply_kind(t, g.kind, g.wires)
     return t.reshape(2**n, 2**n)
 
 

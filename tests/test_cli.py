@@ -177,3 +177,14 @@ def test_compiled_cli_circuit_verifies_in_process(capsys, tmp_path, path_file):
     circuit = circuit_from_dict(json.loads(open(out_file).read()))
     path = SwapPath(3, ((0, 1), (1, 2)))
     assert verify_equivalence(path, circuit) <= 1e-12
+
+
+def test_verify_over_the_unitary_cap_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "p40.json"
+    path.write_text(json.dumps({"n": 40, "path": [[0, 1]]}))
+    circ = tmp_path / "c40.json"
+    circ.write_text(json.dumps({"n": 40, "gates": [{"kind": "iscz", "wires": [0, 1]}]}))
+    rc, out, err = run(capsys, "verify", "--path", str(path), "--circuit", str(circ))
+    assert rc == 2
+    assert err.startswith("error: refusing unitary on 40 wires")
+    assert "Traceback" not in err and out == ""

@@ -5,6 +5,8 @@ compiled circuits must match it exactly, including global phase, on the
 columns their preconditions allow.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,32 @@ def test_apply_reference_permutation_matches_unitary():
     vec = rng.normal(size=16) + 1j * rng.normal(size=16)
     u = reference_permutation_unitary(path)
     assert np.array_equal(apply_reference_permutation(path, vec), u @ vec)
+
+
+def test_verify_equivalence_refuses_oversized_circuits_before_allocating():
+    path = SwapPath(13, ((0, 1), (11, 12)))
+    circuit = compile_iscz(path).circuit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="refusing unitary on 13 wires"):
+            verify_equivalence(path, circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    with pytest.raises(ValueError, match="refusing unitary"):
+        reference_permutation_unitary(path)
+
+
+def test_verify_equivalence_deviation_on_constrained_columns():
+    # a bare iSWAP differs from the SWAP by the phase i on columns 01 and 10
+    path = SwapPath(2, ((0, 1),))
+    bare = Circuit(2, (Gate(gates.ISWAP, (0, 1)),))
+    assert verify_equivalence(path, bare) == pytest.approx(abs(1j - 1), abs=1e-15)
+    # with wire 0 known zero only columns 00 and 01 count; 01 still picks up i
+    assert verify_equivalence(path, bare, {0}) == pytest.approx(abs(1j - 1), abs=1e-15)
+    # with both wires known zero only column 00 counts, and iSWAP fixes |00>
+    assert verify_equivalence(path, bare, {0, 1}) == 0.0
 
 
 def test_cnot_baseline_is_exact_and_three_per_swap():

@@ -1,6 +1,7 @@
 """Benchmark harness: routing, per-trial determinism, output formats."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -156,3 +157,12 @@ def test_summarize_groups_by_size_then_mode():
         assert s["worst_noiseless_error"] <= 1e-9
     text = summary_text(records)
     assert "iscz_fused" in text and len(text.splitlines()) == 2 + len(rows)
+
+
+def test_csv_bytes_for_a_fixed_seed_are_pinned():
+    # sha256 of the CSV written before the simulator's kernels were rewritten;
+    # any change to the records or their formatting changes it
+    buf = io.StringIO()
+    write_csv(run_benchmark(BenchConfig(sizes=(3, 4, 5, 6), trials=4, seed=0)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "576f7a5cb13e23138c92a70d22ec24f2d0bbd1104b10262c8bdaca8d325ebc4e"

@@ -1,11 +1,13 @@
 """Simulation kernels: statevectors, density matrices, noise, fidelity.
 
 Independent oracles: dense matrix arithmetic (kron products applied to full
-vectors) recomputes what the tensor kernels produce.
+vectors) recomputes what the tensor kernels produce; a tensordot kernel and
+the einsum depolarizing formula pin the fast kernels bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swapnet import gates
 from swapnet.circuit import Circuit, Gate
@@ -46,6 +48,124 @@ def dense_unitary(circuit):
         big = np.kron(m, np.eye(2 ** (n - w)))
         u = (p.T @ big @ p) @ u
     return u
+
+
+def tensordot_apply(t, kind, axes, conj=False):
+    """Oracle: contract the gate tensor with the state's operand axes."""
+    w = len(axes)
+    u = gate_matrix(kind)
+    if conj:
+        u = u.conj()
+    out = np.tensordot(u.reshape([2] * (2 * w)), t, axes=(list(range(w, 2 * w)), list(axes)))
+    return np.moveaxis(out, list(range(w)), list(axes))
+
+
+def einsum_depolarize(rho, n, pair, p):
+    """Oracle: (1-p) rho + p Tr_pair(rho) (x) I/d through a transposed copy."""
+    w = len(pair)
+    d = 2**w
+    rest = [i for i in range(n) if i not in pair]
+    perm = list(pair) + rest + [n + i for i in pair] + [n + i for i in rest]
+    t = rho.reshape([2] * (2 * n)).transpose(perm)
+    r = 2 ** len(rest)
+    t = np.ascontiguousarray(t).reshape(d, r, d, r)
+    reduced = np.einsum("arac->rc", t)
+    mixed = np.zeros_like(t)
+    idx = np.arange(d)
+    mixed[idx, :, idx, :] = reduced / d
+    t = (1.0 - p) * t + p * mixed
+    inv = np.argsort(perm)
+    return t.reshape([2] * (2 * n)).transpose(inv).reshape(2**n, 2**n)
+
+
+def random_vec(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_rho(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+MONOMIAL_KINDS = [
+    gates.GateKind(name)
+    for name in ("x", "y", "z", "s", "sdag", "cz", "cnot", "swap", "iswap", "iscz",
+                 "cswap", "ciswap", "ciscz", "ccz")
+]
+
+
+@st.composite
+def gate_on_wires(draw):
+    kind = draw(st.sampled_from(MONOMIAL_KINDS))
+    n = draw(st.integers(kind.arity, 5))
+    wires = tuple(draw(st.permutations(range(n)))[: kind.arity])
+    return n, Gate(kind, wires)
+
+
+@given(gate_on_wires(), st.integers(0, 2**32 - 1))
+@example((5, Gate(gates.CISCZ, (4, 2, 0))), 1)
+@example((4, Gate(gates.ISWAP, (3, 1))), 2)
+@example((3, Gate(gates.Y, (2,))), 3)
+@settings(max_examples=150, deadline=None)
+def test_monomial_kernels_match_tensordot_bit_for_bit(case, seed):
+    n, g = case
+    rng = np.random.default_rng(seed)
+    vec = random_vec(rng, 2**n)
+    pure = PureState(n, vec)
+    pure.apply_gate(g)
+    want = tensordot_apply(vec.reshape([2] * n), g.kind, g.wires).reshape(-1)
+    assert np.array_equal(pure.vec, want)
+
+    rho = random_rho(rng, n)
+    mixed = MixedState(n, rho)
+    mixed.apply_gate(g)
+    t = tensordot_apply(rho.reshape([2] * (2 * n)), g.kind, g.wires)
+    t = tensordot_apply(t, g.kind, tuple(n + w for w in g.wires), conj=True)
+    assert np.array_equal(mixed.rho, t.reshape(2**n, 2**n))
+
+    eye = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
+    want_u = tensordot_apply(eye, g.kind, g.wires).reshape(2**n, 2**n)
+    assert np.array_equal(circuit_unitary(Circuit(n, (g,))), want_u)
+
+
+@pytest.mark.parametrize("p", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("n,pair", [(3, (1,)), (4, (3, 0)), (4, (0, 2)), (5, (4, 1, 2))])
+def test_depolarize_matches_einsum_formula_bit_for_bit(n, pair, p):
+    rho = random_rho(np.random.default_rng(len(pair) + n), n)
+    r = MixedState(n, rho)
+    depolarize_pair(r, pair, p)
+    assert np.array_equal(r.rho, einsum_depolarize(rho, n, pair, p))
+
+
+def test_state_constructors_do_not_alias_caller_arrays():
+    rng = np.random.default_rng(4)
+    vec = random_vec(rng, 8)
+    vec_before = vec.copy()
+    pure = PureState(3, vec)
+    for g in (Gate(gates.CZ, (0, 2)), Gate(gates.ISCZ, (1, 0)), Gate(gates.H, (2,))):
+        pure.apply_gate(g)
+    assert np.array_equal(vec, vec_before)
+
+    rho = random_rho(rng, 3)
+    rho_before = rho.copy()
+    mixed = MixedState(3, rho)
+    mixed.apply_gate(Gate(gates.S, (1,)))
+    mixed.apply_gate(Gate(gates.CNOT, (2, 0)))
+    depolarize_pair(mixed, (0, 1), 0.3)
+    assert np.array_equal(rho, rho_before)
+    assert not np.array_equal(mixed.rho, rho_before)
+
+
+def test_non_monomial_kinds_use_the_dense_path():
+    rng = np.random.default_rng(8)
+    vec = random_vec(rng, 8)
+    for g in (Gate(gates.H, (1,)), Gate(gates.SYC, (2, 0)), Gate(gates.zzevol(0.3), (0, 1))):
+        s = PureState(3, vec)
+        s.apply_gate(g)
+        want = tensordot_apply(vec.reshape([2] * 3), g.kind, g.wires).reshape(-1)
+        assert np.array_equal(s.vec, want)
 
 
 def test_wire_zero_is_most_significant_bit():
