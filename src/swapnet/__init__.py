@@ -9,7 +9,6 @@ from .circuit import (
     CouplingMap,
     Gate,
     Metrics,
-    depth,
     layers,
     metrics,
     validate,
@@ -42,7 +41,6 @@ from .netbench import (
 )
 from .qram import (
     GateCountReport,
-    PhaseCorrectionLedger,
     QramBuild,
     QramSpec,
     Schedule,
@@ -60,7 +58,6 @@ from .sim import (
     apply_circuit,
     circuit_unitary,
     depolarize_pair,
-    depolarize_two_qubit,
     fidelity,
     random_product_state,
 )

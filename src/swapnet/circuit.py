@@ -12,15 +12,23 @@ JSON schema (stable interchange format):
 
 "params" may be omitted for parameter-free kinds; "known_zero" may be omitted
 when empty.  Gate kind names are the lowercase strings from gates.ARITY.
+Fields are read strictly by the shared as_* readers; load_json reads all four schemas.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, TypeVar
 
 from .gates import ARITY, GateKind
+
+T = TypeVar("T")
+
+# Documents declaring more wires than this are refused when read, before any
+# per-wire table is allocated for them.
+MAX_WIRES = 1 << 16
 
 
 class CircuitFormatError(ValueError):
@@ -166,10 +174,6 @@ def metrics(circuit: Circuit) -> Metrics:
     )
 
 
-# Alias: layer count is the headline number, so the metrics bundle also answers to "depth".
-depth = metrics
-
-
 @dataclass(frozen=True)
 class Violation:
     gate_index: int
@@ -217,35 +221,27 @@ def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:
 def circuit_from_dict(data: Any) -> Circuit:
     if not isinstance(data, dict):
         raise CircuitFormatError("circuit document must be a JSON object")
+    n = as_int(data.get("n"), "n", limit=MAX_WIRES)
+    gates = as_list(data.get("gates", []), "gates", _gate_from_dict)
+    known_zero = as_list(data.get("known_zero", []), "known_zero", as_int)
     try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise CircuitFormatError('circuit field "n" must be an integer') from None
-    raw_gates = data.get("gates", [])
-    if not isinstance(raw_gates, list):
-        raise CircuitFormatError('circuit field "gates" must be a list')
-    gates = []
-    for i, entry in enumerate(raw_gates):
-        if not isinstance(entry, dict) or "kind" not in entry or "wires" not in entry:
-            raise CircuitFormatError(f'gates[{i}] needs "kind" and "wires"')
-        name = entry["kind"]
-        if not isinstance(name, str) or name not in ARITY:
-            raise CircuitFormatError(f"gates[{i}].kind {name!r} is not a known gate")
-        params = entry.get("params", [])
-        if not isinstance(params, list):
-            raise CircuitFormatError(f"gates[{i}].params must be a list")
-        try:
-            kind = GateKind(name, tuple(float(p) for p in params))
-            gates.append(Gate(kind, tuple(entry["wires"])))
-        except (TypeError, ValueError) as e:
-            raise CircuitFormatError(f"gates[{i}]: {e}") from None
-    known_zero = data.get("known_zero", [])
-    if not isinstance(known_zero, list):
-        raise CircuitFormatError('circuit field "known_zero" must be a list')
-    try:
-        return Circuit(n, tuple(gates), frozenset(int(w) for w in known_zero))
-    except (TypeError, ValueError) as e:
+        return Circuit(n, gates, frozenset(known_zero))
+    except ValueError as e:
         raise CircuitFormatError(str(e)) from None
+
+
+def _gate_from_dict(entry: Any, name: str) -> Gate:
+    if not isinstance(entry, dict) or "kind" not in entry or "wires" not in entry:
+        raise CircuitFormatError(f'{name} needs "kind" and "wires"')
+    kind = entry["kind"]
+    if not isinstance(kind, str) or kind not in ARITY:
+        raise CircuitFormatError(f"{name}.kind {kind!r} is not a known gate")
+    params = as_list(entry.get("params", []), f"{name}.params", as_float)
+    wires = as_list(entry["wires"], f"{name}.wires", as_int)
+    try:
+        return Gate(GateKind(kind, params), wires)
+    except ValueError as e:
+        raise CircuitFormatError(f"{name}: {e}") from None
 
 
 def coupling_to_dict(coupling: CouplingMap) -> dict[str, Any]:
@@ -255,36 +251,74 @@ def coupling_to_dict(coupling: CouplingMap) -> dict[str, Any]:
 def coupling_from_dict(data: Any) -> CouplingMap:
     if not isinstance(data, dict):
         raise CircuitFormatError("coupling document must be a JSON object")
+    n = as_int(data.get("n"), "n", limit=MAX_WIRES)
+    edges = as_list(data.get("edges", []), "edges", as_pair)
     try:
-        n = int(data["n"])
-        edges = frozenset((int(a), int(b)) for a, b in data.get("edges", []))
-        return CouplingMap(n, edges)
-    except CircuitFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+        return CouplingMap(n, frozenset(edges))
+    except ValueError as e:
         raise CircuitFormatError(f"bad coupling document: {e}") from None
 
 
-def dump_json(obj: Circuit | CouplingMap, path: str) -> None:
+def dump_json(obj: Circuit | CouplingMap, path: str | None = None) -> None:
+    """Write the object's document, indented, to path or else to stdout."""
     to_dict = circuit_to_dict if isinstance(obj, Circuit) else coupling_to_dict
-    with open(path, "w") as fh:
-        json.dump(to_dict(obj), fh, indent=1)
-        fh.write("\n")
+    doc = json.dumps(to_dict(obj), indent=1) + "\n"
+    if path is None:
+        sys.stdout.write(doc)
+    else:
+        with open(path, "w") as fh:
+            fh.write(doc)
 
 
-def load_circuit(path: str) -> Circuit:
+def load_json(path: str, from_dict: Callable[[Any], T]) -> T:
+    """Read the JSON document at path and parse it with one of the *_from_dict readers."""
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise CircuitFormatError(f"{path}: invalid JSON ({e})") from None
-    return circuit_from_dict(data)
+    return from_dict(data)
 
 
-def load_coupling(path: str) -> CouplingMap:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CircuitFormatError(f"{path}: invalid JSON ({e})") from None
-    return coupling_from_dict(data)
+# Strict field readers: a bool is not an integer, a whole float is not an
+# integer, a string is not a list.  Each names the field in its error.
+
+
+def _refuse(name: str, want: str, value: Any) -> CircuitFormatError:
+    return CircuitFormatError(f"field {name} must be {want}, got {value!r:.40}")
+
+
+def as_int(value: Any, name: str, limit: int | None = None) -> int:
+    """An integer field, refused above limit when one is given."""
+    if type(value) is not int:
+        raise _refuse(name, "an integer", value)
+    if limit is not None and value > limit:
+        raise _refuse(name, f"at most {limit}", value)
+    return value
+
+
+def as_list(value: Any, name: str, item: Callable[[Any, str], T]) -> tuple[T, ...]:
+    """A list field, each element read by item under the name name[i]."""
+    if not isinstance(value, list):
+        raise _refuse(name, "a list", value)
+    return tuple(item(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def as_pair(value: Any, name: str) -> tuple[int, int]:
+    pair = as_list(value, name, as_int)
+    if len(pair) != 2:
+        raise _refuse(name, "a pair of integers", value)
+    return pair
+
+
+def as_float(value: Any, name: str) -> float:
+    """A finite number field; integers are accepted and converted."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise _refuse(name, "a finite number", value)
+
+
+def as_bool(value: Any, name: str) -> bool:
+    if type(value) is not bool:
+        raise _refuse(name, "true or false", value)
+    return value

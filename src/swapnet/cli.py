@@ -10,17 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from . import __version__, gates
+from . import __version__
 from .circuit import (
-    Circuit,
     CircuitFormatError,
-    circuit_to_dict,
-    load_circuit,
-    load_coupling,
+    circuit_from_dict,
+    coupling_from_dict,
+    dump_json,
+    load_json,
     metrics,
 )
 from .compiler import (
@@ -29,70 +29,67 @@ from .compiler import (
     compile_ext1,
     compile_ext2,
     compile_iscz,
-    load_swap_path,
+    swap_path_from_dict,
     verify_equivalence,
 )
 from .gates import ARITY, GateKind, gate_matrix
 from .netbench import MODES, BenchConfig, run_benchmark, summary_text, write_csv, write_json
-from .qram import (
-    QramSpec,
-    build_qram_circuit,
-    count_gates,
-    load_qram_spec,
-    pipeline_schedule,
-    verify_qram,
-)
+from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
 
 
-def _parse_wires(text: str | None) -> frozenset[int]:
+def _parse_list(text: str | None, what: str, convert: Callable[[str], Any] = int) -> tuple:
+    """A comma list such as 0,2,5; empty when the flag is absent or empty."""
     if not text:
-        return frozenset()
+        return ()
     try:
-        return frozenset(int(w) for w in text.split(","))
+        return tuple(convert(t) for t in text.split(","))
     except ValueError:
-        raise CircuitFormatError(f"bad wire list {text!r}; expected e.g. 0,2,5") from None
+        raise CircuitFormatError(f"bad {what} {text!r}; expected a comma list") from None
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
+    if ".." not in text:
+        return _parse_list(text, "sizes")
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(t) for t in text.split(","))
+        lo, hi = text.split("..")
+        return tuple(range(int(lo), int(hi) + 1))
     except ValueError:
-        raise CircuitFormatError(
-            f"bad sizes {text!r}; expected e.g. 3..8 or 3,5,7"
-        ) from None
+        raise CircuitFormatError(f"bad sizes {text!r}; expected e.g. 3..8 or 3,5,7") from None
 
 
-def _write_circuit(circuit: Circuit, out_path: str | None) -> None:
-    doc = json.dumps(circuit_to_dict(circuit), indent=1) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+def tolerance(text: str) -> float:
+    """A --tol value >= 0; argparse makes the ValueError for anything else exit 2."""
+    tol = float(text)
+    if not tol >= 0.0:
+        raise ValueError(text)
+    return tol
+
+
+def _verdict(dev: float, tol: float, good: str, bad: str) -> int:
+    print(f"max deviation: {dev:.6e}")
+    if dev <= tol:
+        print(good, file=sys.stderr)
+        return 0
+    print(f"{bad} at tolerance {tol:g}", file=sys.stderr)
+    return 1
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    path = load_swap_path(args.path)
-    corrections = 0
+    path = load_json(args.path, swap_path_from_dict)
     if args.mode == "cnot":
-        circuit = compile_cnot_baseline(path)
-    elif args.mode == "iscz":
-        res = compile_iscz(path)
+        circuit, corrections = compile_cnot_baseline(path), 0
+    else:
+        if args.mode == "iscz":
+            res = compile_iscz(path)
+        elif args.mode == "ext1":
+            res = compile_ext1(path, _parse_list(args.known_zero, "wire list"))
+        else:  # ext2
+            if not args.coupling:
+                raise CircuitFormatError("--mode ext2 needs --coupling MAP.json")
+            res = compile_ext2(path, load_json(args.coupling, coupling_from_dict), args.policy)
         circuit, corrections = res.circuit, res.n_corrections
-    elif args.mode == "ext1":
-        res = compile_ext1(path, _parse_wires(args.known_zero))
-        circuit, corrections = res.circuit, res.n_corrections
-    else:  # ext2
-        if not args.coupling:
-            raise CircuitFormatError("--mode ext2 needs --coupling MAP.json")
-        coupling = load_coupling(args.coupling)
-        res = compile_ext2(path, coupling, args.policy)
-        circuit, corrections = res.circuit, res.n_corrections
-    _write_circuit(circuit, args.out)
+    dump_json(circuit, args.out)
     met = metrics(circuit)
     print(
         f"mode={args.mode} swaps={len(path)} {met.line()} corrections={corrections}",
@@ -102,15 +99,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    path = load_swap_path(args.path)
-    circuit = load_circuit(args.circuit)
+    path = load_json(args.path, swap_path_from_dict)
+    circuit = load_json(args.circuit, circuit_from_dict)
     dev = verify_equivalence(path, circuit, constraints=circuit.known_zero)
-    print(f"max deviation: {dev:.6e}")
-    if dev <= args.tol:
-        print("equivalent", file=sys.stderr)
-        return 0
-    print(f"NOT equivalent at tolerance {args.tol:g}", file=sys.stderr)
-    return 1
+    return _verdict(dev, args.tol, "equivalent", "NOT equivalent")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -119,7 +111,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         trials=args.trials,
         p=args.p,
         seed=args.seed,
-        modes=tuple(args.modes.split(",")) if args.modes else MODES,
+        modes=_parse_list(args.modes, "modes", str) or MODES,
     )
     records = run_benchmark(config, jobs=args.jobs)
     if args.csv:
@@ -136,18 +128,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _qram_spec_from_args(args: argparse.Namespace) -> QramSpec:
     if args.spec:
-        return load_qram_spec(args.spec)
+        return load_json(args.spec, qram_spec_from_dict)
     if args.n is None or args.k is None or args.memory is None:
         raise CircuitFormatError("need --spec FILE or all of --n, --k, --memory")
-    try:
-        memory = tuple(int(v) for v in args.memory.split(","))
-    except ValueError:
-        raise CircuitFormatError(f"bad memory list {args.memory!r}") from None
     return qram_spec_from_dict(
         {
             "n": args.n,
             "k": args.k,
-            "memory": list(memory),
+            "memory": list(_parse_list(args.memory, "memory list")),
             "extensions": args.extensions,
             "pipeline": args.pipeline,
         }
@@ -157,7 +145,7 @@ def _qram_spec_from_args(args: argparse.Namespace) -> QramSpec:
 def cmd_qram_build(args: argparse.Namespace) -> int:
     spec = _qram_spec_from_args(args)
     build = build_qram_circuit(spec)
-    _write_circuit(build.circuit, args.out)
+    dump_json(build.circuit, args.out)
     met = metrics(build.circuit)
     rec = build.record
     print(
@@ -188,12 +176,7 @@ def cmd_qram_verify(args: argparse.Namespace) -> int:
         chosen = rng.choice(total, size=min(args.max_inputs, total), replace=False)
         inputs = [(int(c) >> spec.k, int(c) % 2**spec.k) for c in sorted(chosen)]
     dev = verify_qram(spec, inputs=inputs)
-    print(f"max deviation: {dev:.6e}")
-    if dev <= args.tol:
-        print("qram circuit verified", file=sys.stderr)
-        return 0
-    print(f"verification FAILED at tolerance {args.tol:g}", file=sys.stderr)
-    return 1
+    return _verdict(dev, args.tol, "qram circuit verified", "verification FAILED")
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -207,17 +190,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         raise CircuitFormatError(
             f"unknown gate {name!r}; choose from {', '.join(sorted(ARITY))}"
         )
-    params = ()
-    if args.params:
-        try:
-            params = tuple(float(p) for p in args.params.split(","))
-        except ValueError:
-            raise CircuitFormatError(f"bad params {args.params!r}") from None
-    try:
-        kind = GateKind(name, params)
-    except ValueError as e:
-        raise CircuitFormatError(str(e)) from None
-    m = gate_matrix(kind)
+    m = gate_matrix(GateKind(name, _parse_list(args.params, "params", float)))
     if args.json:
         doc: Any = [[[z.real, z.imag] for z in row] for row in m]
         print(json.dumps(doc))
@@ -225,6 +198,15 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for row in m:
             print("  ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row))
     return 0
+
+
+def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", help="qram spec JSON file")
+    p.add_argument("--n", type=int, help="address bits (with --k, --memory)")
+    p.add_argument("--k", type=int, help="data bits per word")
+    p.add_argument("--memory", help="comma list of 2**n cell values")
+    p.add_argument("--extensions", action="store_true")
+    p.add_argument("--pipeline", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check a circuit realizes a swap path")
     v.add_argument("--path", required=True)
     v.add_argument("--circuit", required=True)
-    v.add_argument("--tol", type=float, default=1e-10)
+    v.add_argument("--tol", type=tolerance, default=1e-10)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="depth/fidelity benchmark vs CNOT baseline")
@@ -262,12 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench)
 
     qb = sub.add_parser("qram-build", help="build a bucket-brigade QRAM circuit")
-    qb.add_argument("--spec", help="qram spec JSON file")
-    qb.add_argument("--n", type=int, help="address bits (with --k, --memory)")
-    qb.add_argument("--k", type=int, help="data bits per word")
-    qb.add_argument("--memory", help="comma list of 2**n cell values")
-    qb.add_argument("--extensions", action="store_true")
-    qb.add_argument("--pipeline", action="store_true")
+    _add_spec_arguments(qb)
     qb.add_argument("--out", help="write circuit JSON here instead of stdout")
     qb.set_defaults(func=cmd_qram_build)
 
@@ -278,13 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     qc.set_defaults(func=cmd_qram_count)
 
     qv = sub.add_parser("qram-verify", help="simulate a QRAM spec against the ideal fetch")
-    qv.add_argument("--spec", help="qram spec JSON file")
-    qv.add_argument("--n", type=int)
-    qv.add_argument("--k", type=int)
-    qv.add_argument("--memory")
-    qv.add_argument("--extensions", action="store_true")
-    qv.add_argument("--pipeline", action="store_true")
-    qv.add_argument("--tol", type=float, default=1e-9)
+    _add_spec_arguments(qv)
+    qv.add_argument("--tol", type=tolerance, default=1e-9)
     qv.add_argument("--max-inputs", type=int, default=0, help="sample this many basis inputs")
     qv.add_argument("--seed", type=int, default=0, help="sampling seed for --max-inputs")
     qv.set_defaults(func=cmd_qram_verify)
@@ -306,13 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitFormatError, UnschedulableCZError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CircuitFormatError, UnschedulableCZError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,14 +20,15 @@ before and after the originating iSWAP are always legal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, CircuitFormatError, CouplingMap, Gate
+from .circuit import (
+    MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair
+)
 from .sim import UNITARY_WIRE_CAP, circuit_unitary
 
 
@@ -73,21 +74,12 @@ def swap_path_to_dict(path: SwapPath) -> dict[str, Any]:
 def swap_path_from_dict(data: Any) -> SwapPath:
     if not isinstance(data, dict):
         raise CircuitFormatError("swap path document must be a JSON object")
+    n = as_int(data.get("n"), "n", limit=MAX_WIRES)
+    pairs = as_list(data.get("path"), "path", as_pair)
     try:
-        n = int(data["n"])
-        pairs = tuple((int(a), int(b)) for a, b in data["path"])
         return SwapPath(n, pairs)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise CircuitFormatError(f"bad swap path document: {e}") from None
-
-
-def load_swap_path(path: str) -> SwapPath:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CircuitFormatError(f"{path}: invalid JSON ({e})") from None
-    return swap_path_from_dict(data)
 
 
 class PhaseLedger:
@@ -237,16 +229,11 @@ def legal_cz_slots(path: SwapPath, coupling: CouplingMap, swap_index: int) -> li
     m = len(path.pairs)
     if not 0 <= swap_index < m:
         raise ValueError(f"swap index {swap_index} outside 0..{m - 1}")
-    wire_of = _wire_of_value_by_slot(path)
-    v1, v2 = _swap_values(path, swap_index)
-    out = []
-    for t in range(m + 1):
-        if coupling.has_edge(wire_of[t][v1], wire_of[t][v2]):
-            out.append(t)
-    return out
+    return _legal_slots(path, coupling, _wire_of_value_by_slot(path), swap_index)[1]
 
 
 def _wire_of_value_by_slot(path: SwapPath) -> list[list[int]]:
+    """table[t][v]: the wire of value v (named by its initial wire) after t swaps."""
     wire_of = list(range(path.n_wires))
     table = [wire_of.copy()]
     for a, b in path.pairs:
@@ -256,12 +243,14 @@ def _wire_of_value_by_slot(path: SwapPath) -> list[list[int]]:
     return table
 
 
-def _swap_values(path: SwapPath, swap_index: int) -> tuple[int, int]:
-    held = list(range(path.n_wires))
-    for a, b in path.pairs[:swap_index]:
-        held[a], held[b] = held[b], held[a]
-    a, b = path.pairs[swap_index]
-    return held[a], held[b]
+def _legal_slots(
+    path: SwapPath, coupling: CouplingMap, wire_of: list[list[int]], j: int
+) -> tuple[tuple[int, int], list[int]]:
+    """The two values swap j exchanges, and every slot where they are coupled."""
+    a, b = path.pairs[j]
+    v1, v2 = wire_of[j].index(a), wire_of[j].index(b)
+    slots = [t for t, w in enumerate(wire_of) if coupling.has_edge(w[v1], w[v2])]
+    return (v1, v2), slots
 
 
 def compile_ext2(
@@ -278,24 +267,17 @@ def compile_ext2(
     m = len(path.pairs)
     wire_of = _wire_of_value_by_slot(path)
     ledger = PhaseLedger(path.n_wires)
-    held = list(range(path.n_wires))
     pending: list[PendingCZ] = []
     for j, (a, b) in enumerate(path.pairs):
-        v1, v2 = held[a], held[b]
-        held[a], held[b] = held[b], held[a]
         ledger.record_swap(a, b)
-        slots = [
-            t
-            for t in range(m + 1)
-            if coupling.has_edge(wire_of[t][v1], wire_of[t][v2])
-        ]
+        values, slots = _legal_slots(path, coupling, wire_of, j)
         if not slots:
             raise UnschedulableCZError(
                 j, f"deferred CZ of swap {j} has no legal slot on this coupling map"
             )
         t = slots[0] if policy == "earliest" else slots[-1]
-        w1, w2 = wire_of[t][v1], wire_of[t][v2]
-        pending.append(PendingCZ(j, (v1, v2), t, (min(w1, w2), max(w1, w2))))
+        w1, w2 = (wire_of[t][v] for v in values)
+        pending.append(PendingCZ(j, values, t, (min(w1, w2), max(w1, w2))))
 
     by_slot: dict[int, list[PendingCZ]] = {}
     for p in pending:

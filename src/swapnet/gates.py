@@ -178,16 +178,6 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
     raise ValueError(f"no matrix for kind {kind!r}")
 
 
-def xy_evolution(gt: float) -> np.ndarray:
-    """Unitary exp(-i*gt*(XX+YY)/2) as a matrix; shorthand for gate_matrix(xyevol(gt))."""
-    return gate_matrix(xyevol(gt))
-
-
-def zz_evolution(gt: float) -> np.ndarray:
-    """Unitary exp(-i*gt*ZZ) as a matrix; shorthand for gate_matrix(zzevol(gt))."""
-    return gate_matrix(zzevol(gt))
-
-
 PAULI_1Q = {"I": _FIXED["i"], "X": _FIXED["x"], "Y": _FIXED["y"], "Z": _FIXED["z"]}
 
 

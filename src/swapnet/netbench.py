@@ -36,7 +36,7 @@ from .compiler import (
     compile_iscz,
     unfuse_iscz,
 )
-from .sim import NoiseModel, apply_circuit, fidelity, random_product_state
+from .sim import DENSITY_WIRE_CAP, NoiseModel, apply_circuit, fidelity, random_product_state
 
 MODES = ("cnot", "iscz_fused", "iscz_unfused")
 
@@ -52,8 +52,8 @@ class BenchConfig:
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.sizes or any(n < 2 for n in self.sizes):
-            raise ValueError("sizes must be a nonempty list of n >= 2")
+        if not self.sizes or any(not 2 <= n <= DENSITY_WIRE_CAP for n in self.sizes):
+            raise ValueError(f"sizes must be a nonempty list of 2 <= n <= {DENSITY_WIRE_CAP}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.p <= 1.0:

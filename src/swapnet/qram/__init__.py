@@ -1,14 +1,7 @@
 """Bucket-brigade QRAM circuits on the {CZ, iSWAP} gate set, with counts and
 pipelined scheduling."""
 
-from .build import (
-    PhaseCorrectionLedger,
-    QramBuild,
-    QramBuildRecord,
-    QramSpec,
-    build_qram_circuit,
-    load_qram_spec,
-)
+from .build import QramBuild, QramBuildRecord, QramSpec, build_qram_circuit
 from .counts import GateCountReport, count_gates, merged_pair_count
 from .layout import TreeLayout
 from .schedule import Schedule, ScheduleOp, pipeline_schedule
@@ -16,7 +9,6 @@ from .verify import ideal_qram_unitary, verify_qram
 
 __all__ = [
     "GateCountReport",
-    "PhaseCorrectionLedger",
     "QramBuild",
     "QramBuildRecord",
     "QramSpec",
@@ -26,7 +18,6 @@ __all__ = [
     "build_qram_circuit",
     "count_gates",
     "ideal_qram_unitary",
-    "load_qram_spec",
     "merged_pair_count",
     "pipeline_schedule",
     "verify_qram",

@@ -27,13 +27,12 @@ multi-controlled X) cannot leak into protocol-level counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any
+from typing import Any, Callable
 
 from .. import gates
-from ..circuit import Circuit, CircuitFormatError, Gate
+from ..circuit import MAX_WIRES, Circuit, CircuitFormatError, Gate, as_bool, as_int, as_list
 from ..gates import PHASE_BY_COUNT
 from .layout import TreeLayout
 from .schedule import Schedule, pipeline_schedule
@@ -82,25 +81,15 @@ def qram_spec_to_dict(spec: QramSpec) -> dict[str, Any]:
 def qram_spec_from_dict(data: Any) -> QramSpec:
     if not isinstance(data, dict):
         raise CircuitFormatError("qram spec document must be a JSON object")
+    n = as_int(data.get("n"), "n", limit=MAX_WIRES)
+    k = as_int(data.get("k"), "k", limit=MAX_WIRES)
+    memory = as_list(data.get("memory"), "memory", as_int)
+    extensions = as_bool(data.get("extensions", False), "extensions")
+    pipeline = as_bool(data.get("pipeline", False), "pipeline")
     try:
-        return QramSpec(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            memory=tuple(int(v) for v in data["memory"]),
-            extensions=bool(data.get("extensions", False)),
-            pipeline=bool(data.get("pipeline", False)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        return QramSpec(n, k, memory, extensions, pipeline)
+    except ValueError as e:
         raise CircuitFormatError(f"bad qram spec document: {e}") from None
-
-
-def load_qram_spec(path: str) -> QramSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CircuitFormatError(f"{path}: invalid JSON ({e})") from None
-    return qram_spec_from_dict(data)
 
 
 @dataclass
@@ -126,47 +115,12 @@ class QramBuildRecord:
 
 
 @dataclass(frozen=True)
-class PhaseCorrectionLedger:
-    """Traversal counts per wire and the sdag powers they imply.
-
-    addr_traversals[l] counts the Routing and Internal-SWAP hops address bit l
-    takes over its round trip; data_pre_copy[i] and data_post_copy[i] count
-    word i's hops before and after the memory copy.  Each correction power is
-    the count mod 4 (1 -> sdag, 2 -> z, 3 -> s).
-    """
-
-    addr_traversals: tuple[int, ...]
-    data_pre_copy: tuple[int, ...]
-    data_post_copy: tuple[int, ...]
-
-    @property
-    def addr_powers(self) -> tuple[int, ...]:
-        return tuple(c % 4 for c in self.addr_traversals)
-
-    @property
-    def data_pre_powers(self) -> tuple[int, ...]:
-        return tuple(c % 4 for c in self.data_pre_copy)
-
-    @property
-    def data_post_powers(self) -> tuple[int, ...]:
-        return tuple(c % 4 for c in self.data_post_copy)
-
-
-@dataclass(frozen=True)
 class QramBuild:
     spec: QramSpec
     layout: TreeLayout
     circuit: Circuit
     record: QramBuildRecord
     schedule: Schedule | None
-
-    @property
-    def phase_ledger(self) -> PhaseCorrectionLedger:
-        return PhaseCorrectionLedger(
-            tuple(self.record.addr_hops),
-            tuple(self.record.data_hops_down),
-            tuple(self.record.data_hops_up),
-        )
 
 
 def build_qram_circuit(spec: QramSpec) -> QramBuild:
@@ -220,14 +174,14 @@ class _Builder:
         for l in range(self.spec.n):
             self.emit(gates.SWAP, self.lay.address(l), self.lay.node_data(0, 0))
             for j in range(l):
-                self._routing_down(j, "setting", ("addr", l))
+                self._routing(j, "setting", ("addr", l))
             self._internal_swap(l)
 
     def _uncompute_setting(self) -> None:
         for l in reversed(range(self.spec.n)):
             self._internal_swap(l)
             for j in reversed(range(l)):
-                self._routing_up(j, "setting", ("addr", l))
+                self._routing(j, "setting", ("addr", l), up=True)
             self.emit(gates.SWAP, self.lay.address(l), self.lay.node_data(0, 0))
 
     def _internal_swap(self, l: int) -> None:
@@ -251,36 +205,23 @@ class _Builder:
 
     # -- routing primitives -------------------------------------------------
 
-    def _routing_down(self, j: int, family: str, hop: tuple[str, int]) -> None:
+    def _routing(self, j: int, family: str, hop: tuple[str, int], up: bool = False) -> None:
         # the moving bit crosses exactly one member of the pair either branch:
-        # C-SWAP to the right child first, then SWAP to the left child
+        # going down, C-SWAP to the right child first, then SWAP to the left
+        # child; going up, the same two gates in the opposite order
         lay = self.lay
         for m in range(2**j):
-            self.emit(
-                self.cswap_kind,
-                lay.node_addr(j, m),
-                lay.node_data(j, m),
-                lay.node_data(j + 1, 2 * m + 1),
-            )
-            self.emit(
-                self.swap_kind, lay.node_data(j, m), lay.node_data(j + 1, 2 * m)
-            )
-        self._tally_routing(j, family)
-        self._record_hop(hop)
-
-    def _routing_up(self, j: int, family: str, hop: tuple[str, int]) -> None:
-        lay = self.lay
-        for m in range(2**j):
-            self.emit(
-                self.swap_kind, lay.node_data(j, m), lay.node_data(j + 1, 2 * m)
-            )
-            self.emit(
-                self.cswap_kind,
-                lay.node_addr(j, m),
-                lay.node_data(j, m),
-                lay.node_data(j + 1, 2 * m + 1),
-            )
-        self._tally_routing(j, family)
+            pd = lay.node_data(j, m)
+            pair = [
+                Gate(self.cswap_kind, (lay.node_addr(j, m), pd, lay.node_data(j + 1, 2 * m + 1))),
+                Gate(self.swap_kind, (pd, lay.node_data(j + 1, 2 * m))),
+            ]
+            self.seg.extend(reversed(pair) if up else pair)
+        if family == "setting":
+            self.rec.setting_routing_pairs += 2**j
+        else:
+            self.rec.fetch_unidirectional_pairs += 2**j
+            self.rec.fetch_routing_ops += 1
         self._record_hop(hop)
 
     def _routing_bidir(self, j: int, down_word: int, up_word: int) -> None:
@@ -298,13 +239,6 @@ class _Builder:
         self.rec.merged_routings += 1
         self._record_hop(("down", down_word))
         self._record_hop(("up", up_word))
-
-    def _tally_routing(self, j: int, family: str) -> None:
-        if family == "setting":
-            self.rec.setting_routing_pairs += 2**j
-        else:
-            self.rec.fetch_unidirectional_pairs += 2**j
-            self.rec.fetch_routing_ops += 1
 
     def _record_hop(self, hop: tuple[str, int]) -> None:
         which, idx = hop
@@ -338,9 +272,9 @@ class _Builder:
         if kind in ("D", "Ddag"):
             self.emit(gates.SWAP, self.lay.data(words[0]), self.lay.node_data(0, 0))
         elif kind == "Rdown":
-            self._routing_down(layers[0], "fetch", ("down", words[0]))
+            self._routing(layers[0], "fetch", ("down", words[0]))
         elif kind == "Rup":
-            self._routing_up(layers[0], "fetch", ("up", words[0]))
+            self._routing(layers[0], "fetch", ("up", words[0]), up=True)
         elif kind == "Rbidir":
             self._routing_bidir(layers[0], words[0], words[1])
         elif kind == "M":
@@ -404,15 +338,20 @@ class _Builder:
 
     # -- phase corrections --------------------------------------------------
 
-    def _start_corrections(self) -> list[Gate]:
-        out: list[Gate] = []
-        if not self.spec.extensions:
-            return out
-        for i in range(self.spec.k):
-            kind = PHASE_BY_COUNT[self.rec.data_hops_down[i] % 4]
+    def _phase_corrections(self, hops: list[int], wire: Callable[[int], int]) -> list[Gate]:
+        """(S^dag)^h on wire(i) for h = hops[i] crossings, tallied."""
+        out = []
+        for i, h in enumerate(hops):
+            kind = PHASE_BY_COUNT[h % 4]
             if kind is not None:
-                out.append(Gate(kind, (self.lay.data(i),)))
-                self.rec.phase_correction_gates += 1
+                out.append(Gate(kind, (wire(i),)))
+        self.rec.phase_correction_gates += len(out)
+        return out
+
+    def _start_corrections(self) -> list[Gate]:
+        if not self.spec.extensions:
+            return []
+        out = self._phase_corrections(self.rec.data_hops_down, self.lay.data)
         if self.spec.pipeline:
             n = self.spec.n
             for i in range(self.spec.k):
@@ -423,17 +362,7 @@ class _Builder:
         return out
 
     def _end_corrections(self) -> list[Gate]:
-        out: list[Gate] = []
         if not self.spec.extensions:
-            return out
-        for i in range(self.spec.k):
-            kind = PHASE_BY_COUNT[self.rec.data_hops_up[i] % 4]
-            if kind is not None:
-                out.append(Gate(kind, (self.lay.data(i),)))
-                self.rec.phase_correction_gates += 1
-        for l in range(self.spec.n):
-            kind = PHASE_BY_COUNT[self.rec.addr_hops[l] % 4]
-            if kind is not None:
-                out.append(Gate(kind, (self.lay.address(l),)))
-                self.rec.phase_correction_gates += 1
-        return out
+            return []
+        up = self._phase_corrections(self.rec.data_hops_up, self.lay.data)
+        return up + self._phase_corrections(self.rec.addr_hops, self.lay.address)

@@ -97,11 +97,8 @@ class GateCountReport:
         return "\n".join(lines)
 
 
-def count_gates(n, k: int | None = None) -> GateCountReport:
-    """Evaluate every closed form for (n, k); also accepts any spec-like object
-    carrying .n and .k as the sole argument."""
-    if k is None:
-        n, k = n.n, n.k
+def count_gates(n: int, k: int) -> GateCountReport:
+    """Evaluate every closed form for (n, k)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return GateCountReport(

@@ -87,11 +87,8 @@ def _word_chain(n: int) -> list[tuple[str, tuple[int, ...]]]:
     return chain
 
 
-def pipeline_schedule(n, k: int | None = None) -> Schedule:
-    """Schedule the k word-chains over n tree layers; also accepts any
-    spec-like object carrying .n and .k as the sole argument."""
-    if k is None:
-        n, k = n.n, n.k
+def pipeline_schedule(n: int, k: int) -> Schedule:
+    """Schedule the k word-chains over n tree layers."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     chain = _word_chain(n)

@@ -43,15 +43,21 @@ def verify_qram(
     """Max deviation of the built circuit from the ideal fetch over basis
     inputs (a, z); exhaustive over all 2**(n+k) of them unless `inputs` says
     otherwise."""
-    lay = build.layout if build is not None else TreeLayout(spec.n, spec.k)
-    if spec.n + spec.k + lay.n_tree_wires > FULL_STATE_WIRE_CAP:
-        raise ValueError(
-            f"full-state verification capped at {FULL_STATE_WIRE_CAP} bus+tree wires; "
-            f"n={spec.n} k={spec.k} needs {spec.n + spec.k + lay.n_tree_wires}"
-        )
     if build is None:
+        _checked_layout(spec)  # refuse before building
         build = build_qram_circuit(spec)
-    circuit = build.circuit
+    return verify_circuit_matches(spec, build.circuit, inputs)
+
+
+def verify_circuit_matches(
+    spec: QramSpec, circuit: Circuit, inputs: Iterable[tuple[int, int]] | None = None
+) -> float:
+    """Same check for any circuit on spec's layout, such as one read from a file."""
+    lay = _checked_layout(spec)
+    if circuit.n_wires != lay.n_wires:
+        raise ValueError(
+            f"circuit has {circuit.n_wires} wires, layout needs {lay.n_wires}"
+        )
     trailing = lay.n_wires - (spec.n + spec.k)
     if inputs is None:
         inputs = (
@@ -68,12 +74,11 @@ def verify_qram(
     return worst
 
 
-def verify_circuit_matches(spec: QramSpec, circuit: Circuit) -> float:
-    """Same check for an externally supplied circuit using spec's layout."""
+def _checked_layout(spec: QramSpec) -> TreeLayout:
     lay = TreeLayout(spec.n, spec.k)
-    if circuit.n_wires != lay.n_wires:
+    if spec.n + spec.k + lay.n_tree_wires > FULL_STATE_WIRE_CAP:
         raise ValueError(
-            f"circuit has {circuit.n_wires} wires, layout needs {lay.n_wires}"
+            f"full-state verification capped at {FULL_STATE_WIRE_CAP} bus+tree wires; "
+            f"n={spec.n} k={spec.k} needs {spec.n + spec.k + lay.n_tree_wires}"
         )
-    fake = QramBuild(spec, lay, circuit, record=None, schedule=None)  # type: ignore[arg-type]
-    return verify_qram(spec, build=fake)
+    return lay

@@ -74,7 +74,7 @@ class PureState:
 class MixedState:
     """Density matrix over n wires; rho has shape (2**n, 2**n)."""
 
-    __slots__ = ("n", "rho")
+    __slots__ = ("n", "rho", "cap")
 
     def __init__(self, n: int, rho: np.ndarray, cap: int = DENSITY_WIRE_CAP):
         if n > cap:
@@ -83,13 +83,14 @@ class MixedState:
             raise ValueError(f"density matrix for {n} wires needs shape {(2**n, 2**n)}")
         self.n = n
         self.rho = np.array(rho, dtype=complex, order="C")
+        self.cap = cap
 
     @staticmethod
     def basis(n: int, index: int = 0) -> "MixedState":
         return PureState.basis(n, index).to_density()
 
     def copy(self) -> "MixedState":
-        return MixedState(self.n, self.rho)
+        return MixedState(self.n, self.rho, cap=self.cap)
 
     def apply_gate(self, gate: Gate) -> None:
         n = self.n
@@ -212,10 +213,6 @@ def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
     state.rho = t.reshape(2**n, 2**n)
 
 
-# Alias for the common two-wire case; the kernel handles any operand tuple.
-depolarize_two_qubit = depolarize_pair
-
-
 class NoiseModel:
     """Depolarize every multi-qubit gate's operand set right after the gate."""
 
@@ -282,8 +279,3 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     evals = np.clip(evals, 0.0, None)
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
-
-
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Exact equality including global phase."""
-    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol)

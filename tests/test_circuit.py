@@ -15,11 +15,9 @@ from swapnet.circuit import (
     circuit_to_dict,
     coupling_from_dict,
     coupling_to_dict,
-    depth,
     dump_json,
     layers,
-    load_circuit,
-    load_coupling,
+    load_json,
     metrics,
     validate,
 )
@@ -53,8 +51,9 @@ def test_empty_circuit_metrics():
     assert m.single_qubit_gates == m.two_qubit_gates == m.three_qubit_gates == 0
 
 
-def test_depth_is_an_alias_for_metrics():
-    assert depth is metrics
+def test_metrics_depth_is_the_layer_count():
+    c = Circuit(3, (iscz(0, 1), iscz(1, 2), Gate(gates.Z, (0,))))
+    assert metrics(c).depth == len(layers(c)) == 2
 
 
 def test_three_sequential_cnots_have_depth_three():
@@ -207,11 +206,11 @@ def test_json_file_round_trip(tmp_path):
     c = Circuit(2, (Gate(gates.ISCZ, (0, 1)),))
     p = tmp_path / "c.json"
     dump_json(c, str(p))
-    assert load_circuit(str(p)) == c
+    assert load_json(str(p), circuit_from_dict) == c
     m = CouplingMap.line(2)
     q = tmp_path / "m.json"
     dump_json(m, str(q))
-    assert load_coupling(str(q)) == m
+    assert load_json(str(q), coupling_from_dict) == m
 
 
 def test_gates_key_is_optional():
@@ -236,7 +235,12 @@ def test_malformed_documents_raise_format_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(CircuitFormatError):
-        load_circuit(str(p))
+        load_json(str(p), circuit_from_dict)
+
+
+def test_integer_params_are_read_as_numbers():
+    doc = {"n": 2, "gates": [{"kind": "fsim", "wires": [0, 1], "params": [1, 0]}]}
+    assert circuit_from_dict(doc).gates[0].kind == gates.fsim(1.0, 0.0)
 
 
 def test_params_omitted_for_parameterless_kinds():

@@ -1,12 +1,30 @@
 """Command-line interface: exit codes, data on stdout, diagnostics on stderr."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swapnet.circuit import circuit_from_dict, dump_json, CouplingMap
+from swapnet.circuit import (
+    CircuitFormatError,
+    CouplingMap,
+    circuit_from_dict,
+    circuit_to_dict,
+    coupling_from_dict,
+    dump_json,
+)
 from swapnet.cli import main
-from swapnet.compiler import SwapPath, swap_path_to_dict, verify_equivalence
+from swapnet.compiler import (
+    SwapPath,
+    compile_iscz,
+    swap_path_from_dict,
+    swap_path_to_dict,
+    verify_equivalence,
+)
+from swapnet.qram.build import qram_spec_from_dict
 
 
 @pytest.fixture
@@ -188,3 +206,197 @@ def test_verify_over_the_unitary_cap_is_usage_error(capsys, tmp_path):
     assert rc == 2
     assert err.startswith("error: refusing unitary on 40 wires")
     assert "Traceback" not in err and out == ""
+
+
+# schema -> (reader, argv reading the document from DOC next to a valid 2-wire path)
+SCHEMAS = {
+    "circuit": (circuit_from_dict, ["verify", "--path", "PATH", "--circuit", "DOC"]),
+    "coupling": (
+        coupling_from_dict, ["compile", "--path", "PATH", "--mode", "ext2", "--coupling", "DOC"]
+    ),
+    "path": (swap_path_from_dict, ["compile", "--path", "DOC"]),
+    "qram": (qram_spec_from_dict, ["qram-build", "--spec", "DOC"]),
+}
+
+
+@pytest.mark.parametrize("schema, text, field", [
+    ("circuit", '{"n": 2, "gates": [{"kind": "cz", "wires": "01"}]}', "gates[0].wires"),
+    ("circuit", '{"n": 2, "gates": [{"kind": "cz", "wires": [0, true]}]}', "gates[0].wires[1]"),
+    ("circuit", '{"n": 2.7}', "n"),
+    ("circuit", '{"n": true}', "n"),
+    ("circuit", '{"n": 1e400}', "n"),
+    ("circuit", '{"n": 100000}', "n"),
+    ("circuit", '{"n": 2, "gates": [{"kind": "fsim", "wires": [0, 1], "params": [1e400, 0]}]}',
+     "gates[0].params[0]"),
+    ("circuit", '{"n": 2, "known_zero": [0.0]}', "known_zero[0]"),
+    ("coupling", '{"n": 2, "edges": {"01": 1}}', "edges"),
+    ("coupling", '{"n": 2, "edges": ["01"]}', "edges[0]"),
+    ("coupling", '{"n": 2, "edges": [[0, 1, 1]]}', "edges[0]"),
+    ("coupling", '{"n": "2", "edges": [[0, 1]]}', "n"),
+    ("path", '{"n": 2, "path": ["01"]}', "path[0]"),
+    ("path", '{"n": 2, "path": [[0, 1.0]]}', "path[0][1]"),
+    ("path", '{"n": 1e400, "path": [[0, 1]]}', "n"),
+    ("path", '{"n": 2147483648, "path": [[0, 1]]}', "n"),
+    ("path", '{"n": 2}', "path"),
+    ("qram", '{"n": 1, "k": 1, "memory": [1, 0], "extensions": "no"}', "extensions"),
+    ("qram", '{"n": 1, "k": 1, "memory": [1, 0], "pipeline": 1}', "pipeline"),
+    ("qram", '{"n": 1, "k": 1, "memory": [1.5, 0]}', "memory[0]"),
+    ("qram", '{"n": true, "k": 1, "memory": [1, 0]}', "n"),
+    ("qram", '{"n": 1, "k": 2147483648, "memory": [1, 0]}', "k"),
+])
+def test_lenient_fields_are_refused(capsys, tmp_path, schema, text, field):
+    reader, argv = SCHEMAS[schema]
+    with pytest.raises(CircuitFormatError, match=f"field {re.escape(field)} must be"):
+        reader(json.loads(text))
+    doc, path = tmp_path / "doc.json", tmp_path / "path.json"
+    doc.write_text(text)
+    path.write_text('{"n": 2, "path": [[0, 1]]}')
+    files = {"DOC": str(doc), "PATH": str(path)}
+    rc, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"field {field} must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "x"])
+def test_bad_tolerance_is_usage_error_before_simulating(capsys, monkeypatch, path_file, tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated despite a bad --tol")
+
+    monkeypatch.setattr("swapnet.cli.verify_equivalence", refuse)
+    monkeypatch.setattr("swapnet.cli.verify_qram", refuse)
+    for argv in (
+        ["verify", "--path", path_file, "--circuit", path_file, "--tol", tol],
+        ["qram-verify", "--n", "1", "--k", "1", "--memory", "0,1", "--tol", tol],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
+
+
+# -- fuzz: every subcommand, in process ------------------------------------------
+
+BAD_VALUES = ["01", 2.7, True, None, -1, [], {}, [[0]], [1.5], float("inf"), 10**400]
+OVERSIZED = [13, 40, 2**31]
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc as it is, with one field at any depth replaced or dropped, or with
+    an oversized "n"."""
+    how = draw(st.sampled_from(["keep", "field", "oversize"]))
+    if how == "oversize":
+        return {**doc, "n": draw(st.sampled_from(OVERSIZED))}
+    return _mutate_field(draw, doc) if how == "field" else doc
+
+
+def _mutate_field(draw, value):
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(sorted(copy) if isinstance(copy, dict) else range(len(copy))))
+        if isinstance(copy, dict) and draw(st.booleans()):
+            del copy[key]
+        else:
+            copy[key] = _mutate_field(draw, copy[key])
+        return copy
+    return draw(st.sampled_from(BAD_VALUES))
+
+
+@st.composite
+def swap_paths(draw):
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 2)).map(lambda t: (t[0], t[0] + 1))
+    return SwapPath(n, tuple(draw(st.lists(pair, max_size=6))))
+
+
+@st.composite
+def compile_argv(draw):
+    path = draw(swap_paths())
+    files = {"path.json": draw(mutated(swap_path_to_dict(path)))}
+    argv = ["compile", "--path", "path.json"]
+    mode = draw(st.sampled_from(["iscz", "cnot", "ext1", "ext2"]))
+    argv += ["--mode", mode, "--policy", draw(st.sampled_from(["earliest", "latest"]))]
+    if mode == "ext1":
+        argv += ["--known-zero", draw(st.sampled_from(["0", "0,1", "", "x", "99", "-1"]))]
+    if mode == "ext2" and draw(st.booleans()):
+        line = {"n": path.n_wires, "edges": [[i, i + 1] for i in range(path.n_wires - 1)]}
+        files["map.json"] = draw(mutated(line))
+        argv += ["--coupling", "map.json"]
+    return argv, files
+
+
+@st.composite
+def verify_argv(draw):
+    path = draw(swap_paths())
+    files = {
+        "path.json": draw(mutated(swap_path_to_dict(path))),
+        "circuit.json": draw(mutated(circuit_to_dict(compile_iscz(path).circuit))),
+    }
+    argv = ["verify", "--path", "path.json", "--circuit", "circuit.json"]
+    return argv + ["--tol", draw(st.sampled_from(["1e-10", "0", "2", "nan", "-1"]))], files
+
+
+@st.composite
+def qram_argv(draw):
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    memory = draw(st.lists(st.integers(0, 2**k - 1), min_size=2**n, max_size=2**n))
+    spec = {"n": n, "k": k, "memory": memory,
+            "extensions": draw(st.booleans()), "pipeline": draw(st.booleans())}
+    command = draw(st.sampled_from(["qram-build", "qram-verify"]))
+    files = {}
+    if draw(st.booleans()):
+        files["spec.json"] = draw(mutated(spec))
+        argv = [command, "--spec", "spec.json"]
+    else:
+        argv = [command, "--n", str(n), "--k", str(k),
+                "--memory", draw(st.sampled_from([",".join(map(str, memory)), "1.5,0", "x", ""]))]
+        argv += ["--extensions"] * spec["extensions"] + ["--pipeline"] * spec["pipeline"]
+    if command == "qram-verify":
+        # two sampled inputs keep a spec with k = 13, which fits under the
+        # full-state cap when n = 1, cheap to simulate
+        argv += ["--max-inputs", "2", "--tol", draw(st.sampled_from(["1e-9", "nan", "-1"]))]
+    return argv, files
+
+
+@st.composite
+def other_argv(draw):
+    command = draw(st.sampled_from(["bench", "qram-count", "schedule", "matrix"]))
+    if command == "bench":
+        sizes = draw(st.sampled_from(["3", "2,3", "2..3", "13", "40", str(2**31), "x", "", "3..2"]))
+        p = draw(st.sampled_from(["0.02", "0", "nan", "-1", "2"]))
+        return ["bench", "--sizes", sizes, "--trials", "1", "--p", p], {}
+    if command == "matrix":
+        gate = draw(st.sampled_from(["iscz", "fsim", "xyevol", "h", "nosuch"]))
+        params = draw(st.sampled_from(["", "0", "0,0", "nan", "1e400", "x"]))
+        json_flag = ["--json"] * draw(st.booleans())
+        return ["matrix", "--gate", gate, "--params", params] + json_flag, {}
+    # closed forms and the schedule are cheap up to n = 40 but not at 2**31
+    small = st.sampled_from(["0", "1", "2", "3", "13", "40", "-1", "x"])
+    return [command, "--n", draw(small), "--k", draw(small)], {}
+
+
+@pytest.mark.parametrize("argv_strategy", [compile_argv, verify_argv, qram_argv, other_argv])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_exit_codes(tmp_path_factory, argv_strategy, data):
+    """Well-formed documents (n <= 6), field-level mutations and oversized n,
+    driven through main: the exit code is 0, 1 or 2, no exception escapes,
+    and 1 only follows a completed check."""
+    argv, files = data.draw(argv_strategy())
+    where = tmp_path_factory.getbasetemp() / "fuzz"
+    where.mkdir(exist_ok=True)
+    for name, doc in files.items():
+        (where / name).write_text(json.dumps(doc))
+    argv = [str(where / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            rc = e.code
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert "max deviation:" in out.getvalue()

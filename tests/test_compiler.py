@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapnet import gates
-from swapnet.circuit import Circuit, CouplingMap, Gate, metrics
+from swapnet.circuit import Circuit, CouplingMap, Gate, load_json, metrics
 from swapnet.compiler import (
     CompileResult,
     PhaseLedger,
@@ -25,7 +25,6 @@ from swapnet.compiler import (
     compile_iscz,
     ledger_by_conjugation,
     legal_cz_slots,
-    load_swap_path,
     reference_permutation_unitary,
     swap_path_from_dict,
     swap_path_to_dict,
@@ -56,7 +55,7 @@ def test_swap_path_json_round_trip(tmp_path):
     assert swap_path_from_dict(doc) == WORKED_PATH
     p = tmp_path / "path.json"
     p.write_text('{"n": 2, "path": [[0, 1]]}')
-    assert load_swap_path(str(p)) == SwapPath(2, ((0, 1),))
+    assert load_json(str(p), swap_path_from_dict) == SwapPath(2, ((0, 1),))
 
 
 def test_worked_example_ledger_counts():

@@ -17,9 +17,7 @@ from swapnet.gates import (
     fsim,
     gate_matrix,
     pauli_expansion,
-    xy_evolution,
     xyevol,
-    zz_evolution,
     zzevol,
 )
 
@@ -138,25 +136,31 @@ def test_syc_is_fsim_at_its_fixed_angles():
 
 
 def test_xy_evolution_zero_is_identity():
-    assert_close(xy_evolution(0.0), np.eye(4))
+    assert_close(mat(xyevol(0.0)), np.eye(4))
 
 
 def test_xy_evolution_half_pi_middles_are_minus_i():
-    u = xy_evolution(math.pi / 2)
+    u = mat(xyevol(math.pi / 2))
     assert abs(u[1, 2] + 1j) <= TOL
     assert abs(u[2, 1] + 1j) <= TOL
     assert abs(u[1, 1]) <= TOL and abs(u[2, 2]) <= TOL
 
 
 def test_evolution_helpers_match_gate_matrix():
-    assert np.array_equal(xy_evolution(0.7), mat(xyevol(0.7)))
-    assert np.array_equal(zz_evolution(1.2), mat(zzevol(1.2)))
+    # xyevol(gt) and zzevol(gt) are exp(-i*gt*H) for their documented H
+    p = gates.PAULI_1Q
+    for kind, h, gt in (
+        (xyevol, (np.kron(p["X"], p["X"]) + np.kron(p["Y"], p["Y"])) / 2, 0.7),
+        (zzevol, np.kron(p["Z"], p["Z"]), 1.2),
+    ):
+        evals, vecs = np.linalg.eigh(h)
+        assert_close(mat(kind(gt)), (vecs * np.exp(-1j * gt * evals)) @ vecs.conj().T)
 
 
 def test_zz_evolution_quarter_pi_is_cz_up_to_single_qubit_phases():
     # solve diag(d) @ zz = cz; the diagonal must exist and factor as a
     # tensor product of single-qubit phase gates (d00*d11 == d01*d10)
-    zz = zz_evolution(math.pi / 4)
+    zz = mat(zzevol(math.pi / 4))
     cz = mat(gates.CZ)
     d = cz @ np.linalg.inv(zz)
     assert_close(d, np.diag(np.diag(d)))
@@ -167,7 +171,7 @@ def test_zz_evolution_quarter_pi_is_cz_up_to_single_qubit_phases():
 
 def test_zz_evolution_diagonal_entries():
     gt = 0.9
-    u = zz_evolution(gt)
+    u = mat(zzevol(gt))
     expect = np.exp(-1j * gt) * np.diag([1, np.exp(2j * gt), np.exp(2j * gt), 1])
     assert_close(u, expect)
 

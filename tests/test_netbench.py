@@ -10,6 +10,7 @@ import pytest
 
 from swapnet.circuit import metrics
 from swapnet.compiler import apply_reference_permutation
+from swapnet.sim import DENSITY_WIRE_CAP
 from swapnet.netbench import (
     MODES,
     BenchConfig,
@@ -73,6 +74,8 @@ def test_config_validation():
         BenchConfig(sizes=())
     with pytest.raises(ValueError):
         BenchConfig(sizes=(1,))
+    with pytest.raises(ValueError):
+        BenchConfig(sizes=(3, DENSITY_WIRE_CAP + 1))  # refused before any trial runs
     with pytest.raises(ValueError):
         BenchConfig(sizes=(3,), trials=0)
     with pytest.raises(ValueError):

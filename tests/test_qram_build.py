@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from swapnet.qram.build import (
-    PhaseCorrectionLedger,
     QramSpec,
     build_qram_circuit,
-    load_qram_spec,
     qram_spec_from_dict,
     qram_spec_to_dict,
 )
-from swapnet.circuit import Circuit, CircuitFormatError, Gate, metrics
+from swapnet.circuit import Circuit, CircuitFormatError, Gate, load_json, metrics
 from swapnet.qram.counts import count_gates
 from swapnet.qram.layout import TreeLayout
 from swapnet.qram.verify import (
@@ -108,13 +106,13 @@ def test_spec_json_round_trip(tmp_path):
     assert qram_spec_from_dict(doc) == spec
     p = tmp_path / "spec.json"
     p.write_text('{"n": 1, "k": 1, "memory": [0, 1]}')
-    assert load_qram_spec(str(p)) == QramSpec(1, 1, (0, 1))
+    assert load_json(str(p), qram_spec_from_dict) == QramSpec(1, 1, (0, 1))
     with pytest.raises(CircuitFormatError):
         qram_spec_from_dict({"n": 1, "k": 1})
     bad = tmp_path / "bad.json"
     bad.write_text("nope[")
     with pytest.raises(CircuitFormatError):
-        load_qram_spec(str(bad))
+        load_json(str(bad), qram_spec_from_dict)
 
 
 # -- ideal map ---------------------------------------------------------------
@@ -245,17 +243,6 @@ def test_hop_counts_follow_closed_forms(n, k):
     assert rec.data_hops_down == [n - 1] * k
     assert rec.data_hops_up == [n - 1] * k
 
-
-def test_phase_ledger_view():
-    spec = QramSpec(2, 2, (1, 2, 3, 0), extensions=True, pipeline=True)
-    build = build_qram_circuit(spec)
-    led = build.phase_ledger
-    assert isinstance(led, PhaseCorrectionLedger)
-    assert led.addr_traversals == tuple(build.record.addr_hops)
-    assert led.data_pre_copy == tuple(build.record.data_hops_down)
-    assert led.data_post_copy == tuple(build.record.data_hops_up)
-    assert led.addr_powers == tuple(c % 4 for c in led.addr_traversals)
-    assert led.data_pre_powers == (1, 1) and led.data_post_powers == (1, 1)
 
 
 @pytest.mark.slow

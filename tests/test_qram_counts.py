@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from swapnet.qram.build import QramSpec
 from swapnet.qram.counts import (
     count_gates,
     cz_on_qpu,
@@ -106,11 +105,6 @@ def test_report_serializes():
     assert json.loads(r.to_json()) == d
     table = r.table()
     assert "n=2" in table and "Root SWAPs" in table
-
-
-def test_count_gates_accepts_spec_object():
-    spec = QramSpec(2, 3, (0,) * 4)
-    assert count_gates(spec) == count_gates(2, 3)
 
 
 def test_count_gates_rejects_bad_sizes():

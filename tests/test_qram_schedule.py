@@ -7,7 +7,6 @@ each op picks the bit up exactly where the previous op left it.
 
 import pytest
 
-from swapnet.qram.build import QramSpec
 from swapnet.qram.counts import merged_pair_count
 from swapnet.qram.schedule import pipeline_schedule
 
@@ -117,11 +116,6 @@ def test_data_bit_position_is_continuous(n, k):
                 moves[op.words[0]] = "bus"
         pos.update(moves)
     assert all(p == "bus" for p in pos.values())
-
-
-def test_schedule_accepts_spec_object():
-    spec = QramSpec(3, 2, (0,) * 8)
-    assert pipeline_schedule(spec).n_steps == pipeline_schedule(3, 2).n_steps
 
 
 def test_schedule_rejects_bad_sizes():

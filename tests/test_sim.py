@@ -20,10 +20,8 @@ from swapnet.sim import (
     apply_circuit,
     circuit_unitary,
     depolarize_pair,
-    depolarize_two_qubit,
     fidelity,
     random_product_state,
-    states_equal,
 )
 
 TOL = 1e-12
@@ -263,15 +261,17 @@ def test_depolarize_full_strength_gives_maximally_mixed_pair():
     assert np.max(np.abs(r.rho - np.eye(4) / 4)) <= TOL
 
 
+def test_copy_keeps_the_density_cap():
+    # the copy apply_circuit runs on must allow what the original was built under
+    out = apply_circuit(PureState.basis(11).to_density(cap=11), Circuit(11))
+    assert out.n == 11 and out.rho[0, 0] == 1.0
+
+
 def test_depolarize_fidelity_analytic():
     # <00| rho' |00> = (1-p) + p/4 = 1 - 3p/4 = 0.985 at p = 0.02
     r = MixedState.basis(2, 0)
     depolarize_pair(r, (0, 1), 0.02)
     assert abs(fidelity(PureState.basis(2, 0), r) - 0.985) <= 1e-12
-
-
-def test_depolarize_two_qubit_is_depolarize_pair():
-    assert depolarize_two_qubit is depolarize_pair
 
 
 def test_depolarize_subset_preserves_trace_and_rest():
@@ -356,8 +356,3 @@ def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(PureState.basis(1, 0), PureState.basis(2, 0))
 
-
-def test_states_equal_tolerance():
-    v = np.array([1.0, 0.0])
-    assert states_equal(v, v + 1e-12)
-    assert not states_equal(v, v + 1e-3)
