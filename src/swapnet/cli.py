@@ -16,7 +16,9 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
+    MAX_WIRES,
     CircuitFormatError,
+    as_int,
     circuit_from_dict,
     coupling_from_dict,
     dump_json,
@@ -36,6 +38,9 @@ from .gates import ARITY, GateKind, gate_matrix
 from .netbench import MODES, BenchConfig, run_benchmark, summary_text, write_csv, write_json
 from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
+from .qram.layout import wire_count
+from .qram.verify import checked_layout
+from .sim import DENSITY_WIRE_CAP
 
 
 def _parse_list(text: str | None, what: str, convert: Callable[[str], Any] = int) -> tuple:
@@ -52,10 +57,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     if ".." not in text:
         return _parse_list(text, "sizes")
     try:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split(".."))
     except ValueError:
         raise CircuitFormatError(f"bad sizes {text!r}; expected e.g. 3..8 or 3,5,7") from None
+    if lo < 2 or hi > DENSITY_WIRE_CAP:  # BenchConfig's bounds, before the range exists
+        raise CircuitFormatError(f"sizes {text!r} outside 2..{DENSITY_WIRE_CAP}")
+    return tuple(range(lo, hi + 1))
 
 
 def tolerance(text: str) -> float:
@@ -158,8 +165,20 @@ def cmd_qram_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tree_size(args: argparse.Namespace) -> tuple[int, int]:
+    """--n and --k, refused when the QRAM layout they describe would exceed
+    MAX_WIRES; the wire count is arithmetic, so nothing is built first."""
+    n = as_int(args.n, "--n", limit=MAX_WIRES)
+    k = as_int(args.k, "--k", limit=MAX_WIRES)
+    if n < 1 or k < 1:
+        raise CircuitFormatError(f"need --n >= 1 and --k >= 1, got n={n} k={k}")
+    if wire_count(n, k) > MAX_WIRES:
+        raise CircuitFormatError(f"n={n} k={k}: the QRAM layout exceeds {MAX_WIRES} wires")
+    return n, k
+
+
 def cmd_qram_count(args: argparse.Namespace) -> int:
-    report = count_gates(args.n, args.k)
+    report = count_gates(*_tree_size(args))
     if args.json:
         print(report.to_json())
     else:
@@ -169,6 +188,7 @@ def cmd_qram_count(args: argparse.Namespace) -> int:
 
 def cmd_qram_verify(args: argparse.Namespace) -> int:
     spec = _qram_spec_from_args(args)
+    checked_layout(spec)  # the cap, before 2**(n+k) is sampled from
     inputs = None
     if args.max_inputs:
         rng = np.random.default_rng(args.seed)
@@ -180,7 +200,7 @@ def cmd_qram_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    print(pipeline_schedule(args.n, args.k).text())
+    print(pipeline_schedule(*_tree_size(args)).text())
     return 0
 
 

@@ -20,6 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def wire_count(n: int, k: int) -> int:
+    """Wires of the layout for (n, k): bus, tree registers and scratch."""
+    return n + k + 2 * (2**n - 1) + max(0, n - 2)
+
+
 @dataclass(frozen=True)
 class TreeLayout:
     n: int
@@ -47,7 +52,7 @@ class TreeLayout:
 
     @property
     def n_wires(self) -> int:
-        return self.n + self.k + self.n_tree_wires + self.n_scratch
+        return wire_count(self.n, self.k)
 
     def address(self, bit: int) -> int:
         if not 0 <= bit < self.n:

@@ -2,10 +2,18 @@
 
 The ideal action on basis states is |a>|z>|0...> -> |a>|z xor memory[a]>|0...>
 with every tree and scratch wire restored to |0> and no residual phase on any
-branch.  Verification applies the full circuit to computational basis inputs
-over the bus wires and measures the worst elementwise deviation from the
+branch.  Verification measures, over computational basis inputs on the bus
+wires, the worst elementwise deviation of the circuit's output from the
 expected basis vector, which catches wrong values, unrestored ancillas, and
 phase errors alike.
+
+Every gate the builder emits is a permutation with power-of-i phases, except
+the h pair around each CCZ of a Toffoli, and h.CCZ.h is again such a gate.
+So all inputs are pushed through the circuit at once as a bit matrix plus an
+integer phase power mod 4 (sim.propagate_basis), and the deviation is exact:
+0, sqrt 2 or 2 for a right output with phase 1, +-i or -1, and 1 for a wrong
+one.  A circuit with any other gate, such as one read from a file, falls
+back to a dense statevector per input.  Both paths keep the full-state cap.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from ..circuit import Circuit
-from ..sim import PureState, apply_circuit
+from ..sim import PureState, apply_circuit, basis_bits, basis_deviation, propagate_basis
 from .build import QramBuild, QramSpec, build_qram_circuit
 from .layout import TreeLayout
 
@@ -44,7 +52,7 @@ def verify_qram(
     inputs (a, z); exhaustive over all 2**(n+k) of them unless `inputs` says
     otherwise."""
     if build is None:
-        _checked_layout(spec)  # refuse before building
+        checked_layout(spec)  # refuse before building
         build = build_qram_circuit(spec)
     return verify_circuit_matches(spec, build.circuit, inputs)
 
@@ -53,28 +61,39 @@ def verify_circuit_matches(
     spec: QramSpec, circuit: Circuit, inputs: Iterable[tuple[int, int]] | None = None
 ) -> float:
     """Same check for any circuit on spec's layout, such as one read from a file."""
-    lay = _checked_layout(spec)
+    lay = checked_layout(spec)
     if circuit.n_wires != lay.n_wires:
         raise ValueError(
             f"circuit has {circuit.n_wires} wires, layout needs {lay.n_wires}"
         )
-    trailing = lay.n_wires - (spec.n + spec.k)
+    n, k = spec.n, spec.k
     if inputs is None:
-        inputs = (
-            (a, z) for a in range(2**spec.n) for z in range(2**spec.k)
-        )
+        inputs = ((a, z) for a in range(2**n) for z in range(2**k))
+    pairs = list(inputs)
+    for a, z in pairs:
+        if not (0 <= a < 2**n and 0 <= z < 2**k):
+            raise ValueError(f"input (a={a}, z={z}) outside the {n}-bit address, {k}-bit word")
+    words_in = [(a << k) | z for a, z in pairs]
+    words_out = [(a << k) | (z ^ spec.memory[a]) for a, z in pairs]
+    bits = np.zeros((lay.n_wires, len(pairs)), dtype=np.uint8)
+    expected = np.zeros_like(bits)  # tree and scratch wires start and end at 0
+    bits[: n + k] = basis_bits(np.array(words_in, dtype=np.int64), n + k)
+    expected[: n + k] = basis_bits(np.array(words_out, dtype=np.int64), n + k)
+    out = propagate_basis(circuit, bits)
+    if out is not None:
+        return basis_deviation(*out, expected)
+    trailing = lay.n_wires - (n + k)
     worst = 0.0
-    for a, z in inputs:
-        idx_in = (((a << spec.k) | z)) << trailing
-        idx_out = (((a << spec.k) | (z ^ spec.memory[a]))) << trailing
-        state = apply_circuit(PureState.basis(lay.n_wires, idx_in), circuit)
+    for word_in, word_out in zip(words_in, words_out):
+        state = apply_circuit(PureState.basis(lay.n_wires, word_in << trailing), circuit)
         err = state.vec
-        err[idx_out] -= 1.0
+        err[word_out << trailing] -= 1.0
         worst = max(worst, float(np.max(np.abs(err))))
     return worst
 
 
-def _checked_layout(spec: QramSpec) -> TreeLayout:
+def checked_layout(spec: QramSpec) -> TreeLayout:
+    """spec's layout, refused above the full-state cap before anything is built."""
     lay = TreeLayout(spec.n, spec.k)
     if spec.n + spec.k + lay.n_tree_wires > FULL_STATE_WIRE_CAP:
         raise ValueError(

@@ -19,6 +19,19 @@ Density matrices cost 4^n; construction is capped (default n <= 10) so a typo
 cannot silently allocate gigabytes.  Statevectors are capped only by memory.
 States copy the array they are built from, so the in-place kernels never
 write into an array the caller still holds.
+
+Verification needs no amplitudes at all.  A monomial gate sends a basis
+state to one basis state times a power of i, so `propagate_basis` pushes a
+batch of basis inputs through a circuit as a (wires x inputs) uint8 bit
+matrix plus an integer phase power mod 4 per input.  Each kind's (input
+index -> output index, phase power) table is cached once; an h G h triple on
+one wire of G is one step when the conjugated matrix is monomial, which the
+H.CCZ.H Toffoli of the QRAM builder is.  `basis_deviation` turns the result
+into the dense max |U - P| exactly: 0, sqrt 2 or 2 for a column that lands on
+its expected index with phase 1, +-i or -1, and 1 for one that lands
+elsewhere.  Circuits with any other gate (fsim, xyevol, zzevol, syc, a lone
+h) get None back, and their callers fall back to `circuit_unitary` or to
+statevectors, which also serve as the test oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .gates import GateKind, gate_matrix
+from .gates import H, GateKind, gate_matrix
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
@@ -101,7 +114,18 @@ class MixedState:
         self.rho = t.reshape(2**n, 2**n)
 
 
-_PHASES = (1, -1, 1j, -1j)
+_PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
+
+
+def _monomial_rows(u: np.ndarray) -> np.ndarray | None:
+    """Row of the one nonzero entry in each column of u, or None when u is
+    not monomial with every nonzero entry in _PHASES."""
+    nonzero = u != 0
+    if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
+        return None
+    if not all(z in _PHASES for z in u[nonzero]):
+        return None
+    return np.argmax(nonzero, axis=0)
 
 
 @lru_cache(maxsize=256)
@@ -114,10 +138,10 @@ def _monomial_cycles(kind: GateKind) -> tuple[tuple[tuple[int, complex], ...], .
     is not monomial with power-of-i phases.
     """
     u = gate_matrix(kind)
-    nonzero = u != 0
-    if np.any(nonzero.sum(axis=1) != 1) or not all(z in _PHASES for z in u[nonzero]):
+    dest = _monomial_rows(u)
+    if dest is None:
         return None
-    src = np.argmax(nonzero, axis=1)
+    src = np.argsort(dest)
     cycles = []
     seen: set[int] = set()
     for start in range(len(u)):
@@ -240,15 +264,118 @@ def apply_circuit(
     return out
 
 
+def check_unitary_cap(n: int, cap: int = UNITARY_WIRE_CAP) -> None:
+    """Refuse a unitary, or a check over its columns, on more than cap wires."""
+    if n > cap:
+        raise ValueError(f"refusing unitary on {n} wires (cap {cap})")
+
+
 def circuit_unitary(circuit: Circuit, cap: int = UNITARY_WIRE_CAP) -> np.ndarray:
     """Full 2**n x 2**n unitary; batched over columns, capped to keep memory sane."""
     n = circuit.n_wires
-    if n > cap:
-        raise ValueError(f"refusing unitary on {n} wires (cap {cap})")
+    check_unitary_cap(n, cap)
     t = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
     for g in circuit.gates:
         t = _apply_kind(t, g.kind, g.wires)
     return t.reshape(2**n, 2**n)
+
+
+# -- exact phase-permutation engine -------------------------------------------
+
+_H_INT = np.array([[1, 1], [1, -1]])  # sqrt(2) h, exact in integers
+_DEVIATION_BY_POWER = np.abs(np.array(_PHASES) - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
+
+
+@lru_cache(maxsize=256)
+def _basis_map(kind: GateKind, h_operand: int | None = None) -> tuple | None:
+    """How a monomial gate acts on the basis index j of its operands: column
+    j of its matrix is i**power[j] times the basis vector dest[j].
+
+    Returned as (moves, power).  moves pairs each operand position whose bit
+    can change with that bit of dest, per j; power is None when every phase
+    is 1.  With h_operand the gate is first conjugated by h on that operand
+    (h G h, as in the H.CCZ.H Toffoli), formed with the integer matrix
+    [[1, 1], [1, -1]] and halved, so exactly.  None when the matrix is not
+    monomial with power-of-i entries.
+    """
+    u = gate_matrix(kind)
+    a = kind.arity
+    if h_operand is not None:
+        h = np.kron(np.kron(np.eye(2**h_operand), _H_INT), np.eye(2 ** (a - 1 - h_operand)))
+        u = h @ u @ h / 2
+    dest = _monomial_rows(u)
+    if dest is None:
+        return None
+    power = np.array([_PHASES.index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
+    moves = []
+    for p in range(a):
+        bit = ((dest >> (a - 1 - p)) & 1).astype(np.uint8)
+        if np.any(bit != (np.arange(2**a) >> (a - 1 - p)) & 1):
+            moves.append((p, bit))
+    return tuple(moves), (power if power.any() else None)
+
+
+def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]] | None:
+    """Each gate's (wires, basis map), an h G h triple on one wire of G taken
+    as one step; None when some gate is neither monomial nor so fused."""
+    steps = []
+    i = 0
+    while i < len(gates):
+        g, width = gates[i], 1
+        step = _basis_map(g.kind)
+        if step is None and g.kind == H and gates[i + 2 : i + 3] == (g,):
+            mid, width = gates[i + 1], 3
+            if g.wires[0] in mid.wires:
+                g, step = mid, _basis_map(mid.kind, mid.wires.index(g.wires[0]))
+        if step is None:
+            return None
+        steps.append((g.wires, step))
+        i += width
+    return steps
+
+
+def basis_bits(indices: np.ndarray, n: int) -> np.ndarray:
+    """The (n x len(indices)) uint8 bit matrix of basis indices over n
+    wires; row w holds wire w, the most significant bit first."""
+    shifts = np.arange(n - 1, -1, -1)
+    return ((np.asarray(indices)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+
+
+def propagate_basis(
+    circuit: Circuit, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Push basis inputs through a circuit exactly, without any amplitudes.
+
+    bits is a (wires x inputs) uint8 matrix: column c holds the bits of input
+    c.  Returns the output bit matrix and, per input, the power k mod 4 of
+    the phase i**k the circuit multiplies in.  None when some gate is not
+    monomial and is not the middle of a monomial h G h triple; callers then
+    fall back to dense simulation.
+    """
+    steps = _basis_steps(circuit.gates)
+    if steps is None:
+        return None
+    bits = np.array(bits, dtype=np.uint8)
+    phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
+    for wires, (moves, power) in steps:
+        idx = bits[wires[0]]
+        for w in wires[1:]:
+            idx = (idx << 1) | bits[w]
+        new = [(wires[p], bit[idx]) for p, bit in moves]
+        if power is not None:
+            phase += power[idx]
+        for w, row in new:
+            bits[w] = row
+    return bits, phase & 3
+
+
+def basis_deviation(bits: np.ndarray, phase: np.ndarray, expected: np.ndarray) -> float:
+    """Exact max |U - P| over propagated columns, P sending each input to its
+    expected bits with phase 1: a column that lands on its expected index
+    contributes |i**k - 1| (0, sqrt 2 or 2), one that lands elsewhere 1."""
+    hit = np.all(bits == expected, axis=0)
+    worst = 0.0 if hit.all() else 1.0
+    return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
 
 
 def random_product_state(n: int, rng: np.random.Generator) -> PureState:

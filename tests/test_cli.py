@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import re
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +158,53 @@ def test_qram_verify_sampled_inputs(capsys):
         "--extensions", "--pipeline", "--max-inputs", "5", "--seed", "3",
     )
     assert rc == 0 and "max deviation" in out
+
+
+def test_qram_verify_checks_the_cap_before_sampling(capsys):
+    # 2**71 inputs to sample from: the cap must refuse before rng.choice sees them
+    rc, out, err = run(
+        capsys, "qram-verify", "--n", "1", "--k", "70", "--memory", "0,1", "--max-inputs", "1"
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: full-state verification capped at 20")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qram-count", "--n", "100000", "--k", "2"],
+        ["schedule", "--n", "3000", "--k", "3000"],
+        ["qram-count", "--n", "15", "--k", "1"],
+        ["schedule", "--n", "2147483648", "--k", "1"],
+        ["qram-count", "--n", "0", "--k", "1"],
+        ["schedule", "--n", "2", "--k", "-1"],
+    ],
+)
+def test_tree_size_flags_are_refused_before_building(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_largest_tree_under_the_wire_limit_is_counted(capsys):
+    # n = 14 needs 32,793 wires with k = 1; n = 15 (65,564) is refused above
+    rc, out, _ = run(capsys, "qram-count", "--n", "14", "--k", "1", "--json")
+    assert rc == 0 and json.loads(out)["internal_swap_pairs"] == 2**14 - 2
+
+
+@pytest.mark.parametrize("sizes", ["3..2147483648", "-2147483648..3"])
+def test_bench_size_range_is_refused_before_it_is_built(capsys, sizes):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "bench", f"--sizes={sizes}", "--trials", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert rc == 2 and out == "" and err.startswith("error: sizes")
 
 
 def test_qram_count_table_and_json(capsys):
@@ -372,7 +421,7 @@ def other_argv(draw):
         params = draw(st.sampled_from(["", "0", "0,0", "nan", "1e400", "x"]))
         json_flag = ["--json"] * draw(st.booleans())
         return ["matrix", "--gate", gate, "--params", params] + json_flag, {}
-    # closed forms and the schedule are cheap up to n = 40 but not at 2**31
+    # n = 13 fits under the wire limit of the tree layout; 40 is refused by it
     small = st.sampled_from(["0", "1", "2", "3", "13", "40", "-1", "x"])
     return [command, "--n", draw(small), "--k", draw(small)], {}
 

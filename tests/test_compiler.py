@@ -2,14 +2,16 @@
 
 The reference oracle is pure bit arithmetic (reference_permutation_unitary);
 compiled circuits must match it exactly, including global phase, on the
-columns their preconditions allow.
+columns their preconditions allow.  verify_equivalence checks monomial
+circuits with the exact phase-permutation engine; the dense unitary,
+circuit_unitary minus the reference on the kept columns, is its oracle here.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from swapnet import gates
 from swapnet.circuit import Circuit, CouplingMap, Gate, load_json, metrics
@@ -31,7 +33,7 @@ from swapnet.compiler import (
     unfuse_iscz,
     verify_equivalence,
 )
-from swapnet.sim import circuit_unitary
+from swapnet.sim import basis_bits, circuit_unitary, propagate_basis
 
 WORKED_PATH = SwapPath(5, ((0, 1), (2, 3), (1, 2), (3, 4)))
 
@@ -306,3 +308,126 @@ def test_property_adjacent_slots_always_legal(path):
     for j in range(len(path)):
         slots = legal_cz_slots(path, line, j)
         assert j in slots and j + 1 in slots
+
+
+# -- the exact engine against the dense oracle ---------------------------------
+
+MONOMIAL_KINDS = [
+    gates.GateKind(name) for name in gates.ARITY
+    if name not in ("h", "fsim", "xyevol", "zzevol", "syc")
+]
+SELF_INVERSE = {"i", "x", "y", "z", "cz", "cnot", "swap", "cswap", "ccz"}
+PHASES = np.array([1, 1j, -1, -1j])
+
+
+def kept_columns(n, constraints):
+    return np.array(
+        [c for c in range(2**n) if all((c >> (n - 1 - w)) & 1 == 0 for w in constraints)]
+    )
+
+
+def dense_deviation(path, circuit, constraints):
+    """Oracle: max |U - P| on the kept columns, both matrices built in full."""
+    cols = kept_columns(path.n_wires, constraints)
+    u = circuit_unitary(circuit)[:, cols]
+    return float(np.max(np.abs(u - reference_permutation_unitary(path)[:, cols])))
+
+
+@st.composite
+def monomial_block(draw, n):
+    """One monomial gate on random wires, or an h.ccz.h Toffoli."""
+    if draw(st.booleans()):
+        a, b, t = draw(st.permutations(range(n)))[:3]
+        return [Gate(gates.H, (t,)), Gate(gates.CCZ, (a, b, t)), Gate(gates.H, (t,))], True
+    kind = draw(st.sampled_from(MONOMIAL_KINDS))
+    wires = tuple(draw(st.permutations(range(n)))[: kind.arity])
+    return [Gate(kind, wires)], kind.name in SELF_INVERSE
+
+
+@st.composite
+def monomial_cases(draw):
+    """A path over 3..6 wires, constraint wires, and a monomial circuit: a
+    compiled one (equivalent on the kept columns), or none, with blocks
+    spliced in.  A block spliced in twice in a row cancels when it is its own
+    inverse, so equivalent circuits with Toffolis in them occur too."""
+    n = draw(st.integers(3, 6))
+    pair = st.permutations(range(n)).map(lambda p: (p[0], p[1]))
+    path = SwapPath(n, tuple(draw(st.lists(pair, max_size=8))))
+    constraints = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    base = draw(st.sampled_from(["iscz", "ext1", "cnot", "none"]))
+    if base == "iscz":
+        body = list(compile_iscz(path).circuit.gates)
+    elif base == "ext1":
+        body = list(compile_ext1(path, constraints).circuit.gates)
+    elif base == "cnot":
+        body = list(compile_cnot_baseline(path).gates)
+    else:
+        body = []
+    if body and draw(st.booleans()):
+        del body[draw(st.integers(0, len(body) - 1))]
+    blocks = [[g] for g in body]
+    for _ in range(draw(st.integers(0, 3))):
+        block, involution = draw(monomial_block(n))
+        at = draw(st.integers(0, len(blocks)))
+        blocks[at:at] = [block] * (2 if involution and draw(st.booleans()) else 1)
+    return path, Circuit(n, tuple(g for block in blocks for g in block)), constraints
+
+
+@given(monomial_cases())
+@example((
+    SwapPath(3, ((0, 2),)),
+    Circuit(3, (Gate(gates.H, (1,)), Gate(gates.CCZ, (0, 2, 1)), Gate(gates.H, (1,)))
+            + compile_iscz(SwapPath(3, ((0, 2),))).circuit.gates),
+    frozenset({0}),
+))
+@settings(max_examples=200, deadline=None)
+def test_property_exact_engine_matches_the_dense_unitary(case):
+    path, circuit, constraints = case
+    n = path.n_wires
+    cols = kept_columns(n, constraints)
+    out = propagate_basis(circuit, basis_bits(cols, n))
+    assert out is not None
+    bits, phase = out
+    # each kept column of U is i**phase times the basis vector the engine names
+    want = np.zeros((2**n, len(cols)), dtype=complex)
+    rows = (1 << np.arange(n - 1, -1, -1)) @ bits.astype(np.int64)
+    want[rows, np.arange(len(cols))] = PHASES[phase]
+    assert np.max(np.abs(circuit_unitary(circuit)[:, cols] - want)) <= 1e-12
+    dense = dense_deviation(path, circuit, constraints)
+    event("equivalent" if dense <= 1e-10 else "not equivalent")
+    assert abs(verify_equivalence(path, circuit, constraints) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [Gate(gates.fsim(0.3, 0.2), (0, 1))],
+        [Gate(gates.xyevol(0.7), (1, 2))],
+        [Gate(gates.H, (2,))],
+        # an h pair around a gate that does not touch its wire, or whose
+        # conjugate is not monomial, is no Toffoli
+        [Gate(gates.H, (4,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (4,))],
+        [Gate(gates.H, (0,)), Gate(gates.ISWAP, (0, 1)), Gate(gates.H, (0,))],
+    ],
+    ids=["fsim", "xyevol", "lone-h", "h-off-wire", "h-iswap-h"],
+)
+@pytest.mark.parametrize("constraints", [frozenset(), frozenset({1, 3})])
+def test_non_monomial_circuits_take_the_dense_path(extra, constraints):
+    circuit = compile_iscz(WORKED_PATH).circuit.extended(extra)
+    assert propagate_basis(circuit, basis_bits(np.arange(32), 5)) is None
+    dense = dense_deviation(WORKED_PATH, circuit, constraints)
+    assert verify_equivalence(WORKED_PATH, circuit, constraints) == dense
+
+
+def test_exact_deviations_are_exact():
+    # |i - 1| = sqrt 2 and |-1 - 1| = 2 exactly, 1 for a wrong output index
+    path = SwapPath(2, ((0, 1),))
+    assert verify_equivalence(path, Circuit(2, (Gate(gates.ISWAP, (0, 1)),))) == np.sqrt(2)
+    assert verify_equivalence(path, compile_iscz(path).circuit.extended(
+        [Gate(gates.Z, (0,))])) == 2.0
+    assert verify_equivalence(path, Circuit(2)) == 1.0
+    toffoli_twice = [Gate(gates.H, (2,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (2,))] * 2
+    tpath = SwapPath(3, ((0, 1),))
+    circuit = compile_iscz(tpath).circuit.extended(toffoli_twice)
+    assert verify_equivalence(tpath, circuit) == 0.0
+    assert 0.0 < dense_deviation(tpath, circuit, frozenset()) < 1e-12

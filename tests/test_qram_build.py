@@ -1,8 +1,9 @@
 """QRAM circuit construction: exact semantics, instrumented tallies, layout.
 
-Verification is exhaustive over all basis inputs (a, z) at small sizes; the
-expected action |a>|z> -> |a>|z xor memory[a]> with ancillae returned to |0>
-and zero residual phase is checked elementwise against the full statevector.
+Verification is exhaustive over all basis inputs (a, z); the expected action
+|a>|z> -> |a>|z xor memory[a]> with ancillae returned to |0> and zero
+residual phase is checked exactly by the phase-permutation engine, and the
+dense statevector per input is its oracle at small sizes.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ from swapnet.qram.build import (
     qram_spec_from_dict,
     qram_spec_to_dict,
 )
+from swapnet import gates
 from swapnet.circuit import Circuit, CircuitFormatError, Gate, load_json, metrics
 from swapnet.qram.counts import count_gates
 from swapnet.qram.layout import TreeLayout
+from swapnet.sim import PureState, apply_circuit
 from swapnet.qram.verify import (
     FULL_STATE_WIRE_CAP,
     ideal_qram_unitary,
@@ -170,15 +173,78 @@ def test_schedule_repair_sizes_stay_exact(n, k):
         assert verify_qram(spec) < TOL
 
 
-@pytest.mark.slow
 def test_three_layer_tree_with_scratch_wires():
     rng = np.random.default_rng(23)
     memory = tuple(int(v) for v in rng.integers(0, 2, size=8))
     for extensions in (False, True):
         spec = QramSpec(3, 1, memory, extensions=extensions, pipeline=True)
-        inputs = [(int(a), int(z)) for a, z in zip(
-            rng.integers(0, 8, size=4), rng.integers(0, 2, size=4))]
-        assert verify_qram(spec, inputs=inputs) < TOL
+        assert verify_qram(spec) < TOL
+
+
+def flip_one_bit(spec, seed):
+    rng = np.random.default_rng(seed)
+    memory = list(spec.memory)
+    memory[int(rng.integers(0, 2**spec.n))] ^= 1 << int(rng.integers(0, spec.k))
+    return QramSpec(spec.n, spec.k, tuple(memory), spec.extensions, spec.pipeline)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (3, 3)])
+@pytest.mark.parametrize("extensions,pipeline", FLAGS)
+def test_exhaustive_verification_three_layers(n, k, extensions, pipeline):
+    (memory,) = memories(n, k, 1, seed=31 * n + k)
+    spec = QramSpec(n, k, memory, extensions=extensions, pipeline=pipeline)
+    build = build_qram_circuit(spec)
+    assert verify_qram(spec, build) == 0.0  # exact: no rounding noise
+    flipped = flip_one_bit(spec, seed=n + k)
+    # the build checked against a flipped memory, and a flipped build against spec
+    assert verify_qram(flipped, build) >= 1.0
+    assert verify_circuit_matches(spec, build_qram_circuit(flipped).circuit) >= 1.0
+
+
+def dense_deviation(spec, circuit):
+    """Oracle: one dense statevector per basis input, as verification once ran."""
+    lay = TreeLayout(spec.n, spec.k)
+    trailing = lay.n_wires - spec.n - spec.k
+    worst = 0.0
+    for a in range(2**spec.n):
+        for z in range(2**spec.k):
+            state = apply_circuit(
+                PureState.basis(lay.n_wires, ((a << spec.k) | z) << trailing), circuit
+            )
+            err = state.vec
+            err[((a << spec.k) | (z ^ spec.memory[a])) << trailing] -= 1.0
+            worst = max(worst, float(np.max(np.abs(err))))
+    return worst
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("extensions,pipeline", FLAGS)
+def test_exact_engine_matches_dense_statevectors(n, k, extensions, pipeline):
+    (memory,) = memories(n, k, 1, seed=7 * n + k)
+    spec = QramSpec(n, k, memory, extensions=extensions, pipeline=pipeline)
+    for built in (spec, flip_one_bit(spec, seed=k)):
+        circuit = build_qram_circuit(built).circuit
+        assert abs(verify_circuit_matches(spec, circuit) - dense_deviation(spec, circuit)) <= 1e-12
+
+
+def test_non_monomial_circuits_fall_back_to_statevectors():
+    spec = QramSpec(2, 1, (1, 0, 0, 1), extensions=True)
+    circuit = build_qram_circuit(spec).circuit
+    lay = TreeLayout(2, 1)
+    tree = lay.node_addr(1, 1), lay.node_data(1, 1)
+    for extra in (Gate(gates.fsim(0.4, 0.9), tree), Gate(gates.H, (tree[0],))):
+        odd = circuit.extended([extra])
+        assert verify_circuit_matches(spec, odd) == dense_deviation(spec, odd)
+    # fsim fixes |00> on the restored tree wires; h does not
+    assert verify_circuit_matches(spec, circuit.extended([Gate(gates.fsim(0.4, 0.9), tree)])) < TOL
+    assert verify_circuit_matches(spec, circuit.extended([Gate(gates.H, (tree[0],))])) > 0.5
+
+
+def test_inputs_outside_the_bus_are_refused():
+    spec = QramSpec(2, 1, (0, 1, 1, 0))
+    for bad in ([(4, 0)], [(0, 2)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="outside"):
+            verify_qram(spec, inputs=bad)
 
 
 def test_verification_cap_enforced():
@@ -245,7 +311,6 @@ def test_hop_counts_follow_closed_forms(n, k):
 
 
 
-@pytest.mark.slow
 def test_deep_address_bit_accumulates_z_correction():
     # address bit 2 makes 2*(2+1) = 6 crossings; 6 mod 4 = 2 -> a Z gate on
     # its bus wire among the final corrections

@@ -18,9 +18,12 @@ from swapnet.sim import (
     NoiseModel,
     PureState,
     apply_circuit,
+    basis_bits,
+    basis_deviation,
     circuit_unitary,
     depolarize_pair,
     fidelity,
+    propagate_basis,
     random_product_state,
 )
 
@@ -164,6 +167,38 @@ def test_non_monomial_kinds_use_the_dense_path():
         s.apply_gate(g)
         want = tensordot_apply(vec.reshape([2] * 3), g.kind, g.wires).reshape(-1)
         assert np.array_equal(s.vec, want)
+
+
+def test_h_ccz_h_propagates_as_an_exact_toffoli():
+    c = Circuit(4, (Gate(gates.H, (1,)), Gate(gates.CCZ, (3, 0, 1)), Gate(gates.H, (1,))))
+    inputs = basis_bits(np.arange(16), 4)
+    before = inputs.copy()
+    bits, phase = propagate_basis(c, inputs)
+    assert np.array_equal(inputs, before)  # the caller's matrix is left alone
+    want = inputs.copy()
+    want[1] ^= inputs[3] & inputs[0]
+    assert np.array_equal(bits, want) and not phase.any()
+    u = circuit_unitary(c)
+    assert 0 < np.max(np.abs(u - np.round(u.real))) < 1e-15  # dense carries rounding
+
+
+def test_propagated_phases_are_powers_of_i_mod_4():
+    # s four times on a wire at 1 is the identity; three times leaves i**3
+    c = Circuit(2, (Gate(gates.S, (1,)),) * 3)
+    bits, phase = propagate_basis(c, basis_bits(np.arange(4), 2))
+    assert phase.tolist() == [0, 3, 0, 3]
+    _, phase = propagate_basis(c.extended([Gate(gates.S, (1,))] * 257), basis_bits(np.arange(4), 2))
+    assert phase.tolist() == [0, 0, 0, 0]  # 260 quarter turns wrap exactly
+
+
+def test_basis_deviation_is_exact():
+    expected = basis_bits(np.arange(4), 2)
+    for power, dev in enumerate([0.0, np.sqrt(2), 2.0, np.sqrt(2)]):
+        phase = np.array([0, power, 0, 0], dtype=np.uint8)
+        assert basis_deviation(expected, phase, expected) == dev == abs(1j**power - 1)
+    wrong = expected[::-1].copy()  # the two wires exchanged: 01 and 10 land elsewhere
+    assert basis_deviation(wrong, np.zeros(4, dtype=np.uint8), expected) == 1.0
+    assert basis_deviation(wrong, np.array([0, 0, 0, 2], dtype=np.uint8), expected) == 2.0
 
 
 def test_wire_zero_is_most_significant_bit():
