@@ -15,7 +15,6 @@ from .circuit import (
 )
 from .compiler import (
     CompileResult,
-    Ext2Result,
     PendingCZ,
     PhaseLedger,
     SwapPath,
@@ -53,7 +52,6 @@ from .qram import (
 )
 from .sim import (
     MixedState,
-    NoiseModel,
     PureState,
     apply_circuit,
     circuit_unitary,

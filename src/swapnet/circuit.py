@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TypeVar
 
-from .gates import ARITY, GateKind
+from .gates import ARITY, PHASE_BY_COUNT, GateKind
 
 T = TypeVar("T")
 
@@ -77,6 +77,11 @@ class Circuit:
 
     def extended(self, more: Iterable[Gate]) -> "Circuit":
         return Circuit(self.n_wires, self.gates + tuple(more), self.known_zero)
+
+
+def phase_gates(counts: Iterable[int], wires: Iterable[int]) -> list[Gate]:
+    """(S^dag)^c on each wire for its count c; counts that are 0 mod 4 emit nothing."""
+    return [Gate(PHASE_BY_COUNT[c % 4], (w,)) for c, w in zip(counts, wires) if c % 4]
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,9 @@ import numpy as np
 
 from . import gates
 from .circuit import (
-    MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair
+    MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, phase_gates
 )
-from .sim import (
-    basis_bits, basis_deviation, check_unitary_cap, circuit_unitary, propagate_basis
-)
+from .sim import basis_bits, basis_deviation, check_unitary_cap
 
 
 class UnschedulableCZError(RuntimeError):
@@ -104,12 +102,7 @@ class PhaseLedger:
         c[data_wire], c[zero_wire] = c[zero_wire], c[data_wire]
 
     def phase_layer(self) -> list[Gate]:
-        out = []
-        for w, c in enumerate(self.counts):
-            kind = gates.PHASE_BY_COUNT[c % 4]
-            if kind is not None:
-                out.append(Gate(kind, (w,)))
-        return out
+        return phase_gates(self.counts, range(self.n_wires))
 
     def n_corrections(self) -> int:
         return sum(1 for c in self.counts if c % 4 != 0)
@@ -134,10 +127,21 @@ def ledger_by_conjugation(path: SwapPath) -> list[int]:
 
 
 @dataclass(frozen=True)
+class PendingCZ:
+    """A deferred CZ from swap j: acts on the two logical values it entangled."""
+
+    swap_index: int
+    values: tuple[int, int]  # identified by their initial wires
+    slot: int  # number of iSWAPs preceding the CZ in the output
+    wires: tuple[int, int]  # physical wires at that slot
+
+
+@dataclass(frozen=True)
 class CompileResult:
     circuit: Circuit
     ledger: PhaseLedger
-    final_zeros: frozenset[int]
+    final_zeros: frozenset[int] = frozenset()  # filled by compile_ext1
+    pending: tuple[PendingCZ, ...] = ()  # filled by compile_ext2
 
     @property
     def n_corrections(self) -> int:
@@ -151,8 +155,7 @@ def compile_iscz(path: SwapPath) -> CompileResult:
     for a, b in path.pairs:
         body.append(Gate(gates.ISCZ, (a, b)))
         ledger.record_swap(a, b)
-    circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()))
-    return CompileResult(circuit, ledger, frozenset())
+    return CompileResult(Circuit(path.n_wires, tuple(body + ledger.phase_layer())), ledger)
 
 
 def unfuse_iscz(circuit: Circuit) -> Circuit:
@@ -203,27 +206,6 @@ def compile_ext1(path: SwapPath, known_zero: frozenset[int] | set[int]) -> Compi
     return CompileResult(circuit, ledger, frozenset(zeros))
 
 
-@dataclass(frozen=True)
-class PendingCZ:
-    """A deferred CZ from swap j: acts on the two logical values it entangled."""
-
-    swap_index: int
-    values: tuple[int, int]  # identified by their initial wires
-    slot: int  # number of iSWAPs preceding the CZ in the output
-    wires: tuple[int, int]  # physical wires at that slot
-
-
-@dataclass(frozen=True)
-class Ext2Result:
-    circuit: Circuit
-    ledger: PhaseLedger
-    pending: tuple[PendingCZ, ...]
-
-    @property
-    def n_corrections(self) -> int:
-        return self.ledger.n_corrections()
-
-
 def legal_cz_slots(path: SwapPath, coupling: CouplingMap, swap_index: int) -> list[int]:
     """All slots t (CZ after the first t iSWAPs) where swap_index's two values
     sit on a coupled edge.  Always contains swap_index and swap_index + 1 when
@@ -257,7 +239,7 @@ def _legal_slots(
 
 def compile_ext2(
     path: SwapPath, coupling: CouplingMap, policy: str = "earliest"
-) -> Ext2Result:
+) -> CompileResult:
     """Connectivity-aware compilation: bare iSWAPs in place, CZs deferred to a
     chosen legal slot.  The phase layer is identical to compile_iscz's."""
     if policy not in ("earliest", "latest"):
@@ -291,7 +273,7 @@ def compile_ext2(
         if t < m:
             body.append(Gate(gates.ISWAP, path.pairs[t]))
     circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()))
-    return Ext2Result(circuit, ledger, tuple(pending))
+    return CompileResult(circuit, ledger, pending=tuple(pending))
 
 
 def _permuted_indices(path: SwapPath) -> np.ndarray:
@@ -328,25 +310,18 @@ def verify_equivalence(
 ) -> float:
     """Max elementwise deviation between the compiled circuit's unitary and the
     reference permutation, over basis columns whose constraint wires are 0.
-    Exact equality including global phase is the target.
-
-    Monomial circuits (every compiler output) are checked exactly by pushing
-    the kept columns through propagate_basis; others build the dense unitary.
+    Exact equality including global phase is the target; sim.basis_deviation
+    checks the kept columns.
     """
     if circuit.n_wires != path.n_wires:
         raise ValueError(f"circuit has {circuit.n_wires} wires, path {path.n_wires}")
     n = path.n_wires
     check_unitary_cap(n)  # refuses oversized circuits before allocating
+    if any(not 0 <= w < n for w in constraints):
+        raise ValueError(f"constraint wires {sorted(constraints)} not all in 0..{n - 1}")
     cols = np.arange(2**n)
     for w in constraints:
         cols = cols[(cols >> (n - 1 - w)) & 1 == 0]
     inputs = basis_bits(cols, n)
-    out = propagate_basis(circuit, inputs)
-    if out is not None:
-        # wire w ends up holding the value that started on wire value_at()[w]
-        return basis_deviation(*out, inputs[path.value_at()])
-    u = circuit_unitary(circuit)
-    # u minus the reference on the kept columns, without building the reference
-    diff = u[:, cols] if constraints else u
-    diff[_permuted_indices(path)[cols], np.arange(len(cols))] -= 1.0
-    return float(np.max(np.abs(diff)))
+    # wire w ends up holding the value that started on wire value_at()[w]
+    return basis_deviation(circuit, inputs, inputs[path.value_at()])

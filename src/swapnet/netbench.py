@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, TextIO
@@ -36,7 +37,7 @@ from .compiler import (
     compile_iscz,
     unfuse_iscz,
 )
-from .sim import DENSITY_WIRE_CAP, NoiseModel, apply_circuit, fidelity, random_product_state
+from .sim import DENSITY_WIRE_CAP, apply_circuit, check_strength, fidelity, random_product_state
 
 MODES = ("cnot", "iscz_fused", "iscz_unfused")
 
@@ -56,8 +57,7 @@ class BenchConfig:
             raise ValueError(f"sizes must be a nonempty list of 2 <= n <= {DENSITY_WIRE_CAP}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"depolarizing strength {self.p} outside [0, 1]")
+        check_strength(self.p)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for m in self.modes:
@@ -124,13 +124,12 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     path = route_linear(perm)
     state = random_product_state(n, rng)
     ideal = apply_reference_permutation(path, state.vec)
-    noise = NoiseModel(config.p)
     out = []
     for mode in config.modes:
         circuit = compile_mode(path, mode)
         pure = apply_circuit(state, circuit)
         fid_clean = float(abs(np.vdot(ideal, pure.vec)) ** 2)
-        noisy = apply_circuit(state.to_density(), circuit, noise)
+        noisy = apply_circuit(state.to_density(), circuit, config.p)
         fid_noisy = fidelity(pure, noisy)
         met = metrics(circuit)
         out.append(
@@ -154,11 +153,12 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
 
 def run_benchmark(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
     tasks = [(n, t, config) for n in config.sizes for t in range(config.trials)]
-    if jobs <= 1:
+    # all workers start at the first submit, so never ask for more than can run
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         chunks = map(_run_trial, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        with pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_trial, tasks, chunksize=8))
     return [rec for chunk in chunks for rec in chunk]
 

@@ -32,10 +32,11 @@ from functools import reduce
 from typing import Any, Callable
 
 from .. import gates
-from ..circuit import MAX_WIRES, Circuit, CircuitFormatError, Gate, as_bool, as_int, as_list
-from ..gates import PHASE_BY_COUNT
+from ..circuit import (
+    MAX_WIRES, Circuit, CircuitFormatError, Gate, as_bool, as_int, as_list, phase_gates
+)
 from .layout import TreeLayout
-from .schedule import Schedule, pipeline_schedule
+from .schedule import Schedule, pipeline_schedule, word_chain
 
 
 @dataclass(frozen=True)
@@ -255,18 +256,11 @@ class _Builder:
         n, k = self.spec.n, self.spec.k
         if self.spec.pipeline:
             self.schedule = pipeline_schedule(n, k)
-            for step in self.schedule.steps:
-                for op in step:
-                    self._fetch_op(op.kind, op.words, op.layers)
+            ops = [(op.kind, op.words, op.layers) for step in self.schedule.steps for op in step]
         else:
-            for i in range(k):
-                self._fetch_op("D", (i,), ())
-                for a in range(n - 1):
-                    self._fetch_op("Rdown", (i,), (a, a + 1))
-                self._fetch_op("M", (i,), ())
-                for a in range(n - 2, -1, -1):
-                    self._fetch_op("Rup", (i,), (a, a + 1))
-                self._fetch_op("Ddag", (i,), ())
+            ops = [(kind, (i,), layers) for i in range(k) for kind, layers in word_chain(n)]
+        for op in ops:
+            self._fetch_op(*op)
 
     def _fetch_op(self, kind: str, words: tuple[int, ...], layers: tuple[int, ...]) -> None:
         if kind in ("D", "Ddag"):
@@ -340,11 +334,7 @@ class _Builder:
 
     def _phase_corrections(self, hops: list[int], wire: Callable[[int], int]) -> list[Gate]:
         """(S^dag)^h on wire(i) for h = hops[i] crossings, tallied."""
-        out = []
-        for i, h in enumerate(hops):
-            kind = PHASE_BY_COUNT[h % 4]
-            if kind is not None:
-                out.append(Gate(kind, (wire(i),)))
+        out = phase_gates(hops, map(wire, range(len(hops))))
         self.rec.phase_correction_gates += len(out)
         return out
 

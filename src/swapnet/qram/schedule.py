@@ -65,9 +65,6 @@ class Schedule:
     def n_steps(self) -> int:
         return len(self.steps)
 
-    def ops(self) -> list[ScheduleOp]:
-        return [op for step in self.steps for op in step]
-
     def text(self) -> str:
         lines = [
             f"pipeline schedule n={self.n} k={self.k}: "
@@ -78,7 +75,8 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _word_chain(n: int) -> list[tuple[str, tuple[int, ...]]]:
+def word_chain(n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """One word's fetch ops in protocol order, as (kind, layers) pairs."""
     chain: list[tuple[str, tuple[int, ...]]] = [("D", ())]
     chain += [("Rdown", (a, a + 1)) for a in range(n - 1)]
     chain += [("M", ())]
@@ -91,7 +89,7 @@ def pipeline_schedule(n: int, k: int) -> Schedule:
     """Schedule the k word-chains over n tree layers."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    chain = _word_chain(n)
+    chain = word_chain(n)
 
     # Structural merges: down word j+g meets up word j at layer pair (n-1-g, n-g).
     down_merge: dict[tuple[int, int], int] = {}
@@ -109,22 +107,19 @@ def pipeline_schedule(n: int, k: int) -> Schedule:
             if (i, p) not in op_of:
                 op_of[(i, p)] = _Op(kind, (i,), layers, 2 * i + p)
 
-    unique: list[_Op] = []
-    seen = set()
-    for op in op_of.values():
-        if id(op) not in seen:
-            seen.add(id(op))
-            unique.append(op)
+    unique = list({id(op): op for op in op_of.values()}.values())  # a merge is listed twice
     unique.sort(key=lambda op: (op.canon, min(op.words), op.kind))
 
+    # per footprint key, taken step -> a later step to try: jumps, not a scan
     last_step = {i: -1 for i in range(k)}
-    occupied: dict[int, set] = defaultdict(set)
+    next_free: dict[tuple, dict[int, int]] = defaultdict(dict)
     for op in unique:
         t = max([op.canon] + [last_step[w] + 1 for w in op.words])
         fp = op.footprint(n)
-        while occupied[t] & fp:
-            t += 1
-        occupied[t] |= fp
+        while (s := max(_free_from(next_free[key], t) for key in fp)) != t:
+            t = s
+        for key in fp:
+            next_free[key][t] = t + 1
         op.step = t
         for w in op.words:
             last_step[w] = t
@@ -136,3 +131,11 @@ def pipeline_schedule(n: int, k: int) -> Schedule:
     for step in by_step:
         step.sort(key=lambda op: (min(op.words), op.kind))
     return Schedule(n, k, tuple(tuple(s) for s in by_step), len(down_merge))
+
+
+def _free_from(taken: dict[int, int], t: int) -> int:
+    """The first step >= t not in taken, halving the path of links it follows."""
+    while t in taken:
+        taken[t] = taken.get(taken[t], taken[t])
+        t = taken[t]
+    return t

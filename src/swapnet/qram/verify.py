@@ -12,8 +12,9 @@ the h pair around each CCZ of a Toffoli, and h.CCZ.h is again such a gate.
 So all inputs are pushed through the circuit at once as a bit matrix plus an
 integer phase power mod 4 (sim.propagate_basis), and the deviation is exact:
 0, sqrt 2 or 2 for a right output with phase 1, +-i or -1, and 1 for a wrong
-one.  A circuit with any other gate, such as one read from a file, falls
-back to a dense statevector per input.  Both paths keep the full-state cap.
+one.  For a circuit with any other gate, such as one read from a file,
+sim.basis_deviation runs a dense statevector per input instead.  Both paths
+keep the full-state cap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from ..circuit import Circuit
-from ..sim import PureState, apply_circuit, basis_bits, basis_deviation, propagate_basis
+from ..sim import basis_bits, basis_deviation
 from .build import QramBuild, QramSpec, build_qram_circuit
 from .layout import TreeLayout
 
@@ -79,17 +80,7 @@ def verify_circuit_matches(
     expected = np.zeros_like(bits)  # tree and scratch wires start and end at 0
     bits[: n + k] = basis_bits(np.array(words_in, dtype=np.int64), n + k)
     expected[: n + k] = basis_bits(np.array(words_out, dtype=np.int64), n + k)
-    out = propagate_basis(circuit, bits)
-    if out is not None:
-        return basis_deviation(*out, expected)
-    trailing = lay.n_wires - (n + k)
-    worst = 0.0
-    for word_in, word_out in zip(words_in, words_out):
-        state = apply_circuit(PureState.basis(lay.n_wires, word_in << trailing), circuit)
-        err = state.vec
-        err[word_out << trailing] -= 1.0
-        worst = max(worst, float(np.max(np.abs(err))))
-    return worst
+    return basis_deviation(circuit, bits, expected)
 
 
 def checked_layout(spec: QramSpec) -> TreeLayout:

@@ -29,9 +29,10 @@ one wire of G is one step when the conjugated matrix is monomial, which the
 H.CCZ.H Toffoli of the QRAM builder is.  `basis_deviation` turns the result
 into the dense max |U - P| exactly: 0, sqrt 2 or 2 for a column that lands on
 its expected index with phase 1, +-i or -1, and 1 for one that lands
-elsewhere.  Circuits with any other gate (fsim, xyevol, zzevol, syc, a lone
-h) get None back, and their callers fall back to `circuit_unitary` or to
-statevectors, which also serve as the test oracle.
+elsewhere.  For a circuit with any other gate (fsim, xyevol, zzevol, syc, a
+lone h) `propagate_basis` gives None, and `basis_deviation` runs one
+statevector per column instead; that is the only dense fallback.
+`circuit_unitary` stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -219,8 +220,7 @@ def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
     to the reduced state, rho is scaled by 1-p, and p * reduced / d is added
     back onto each diagonal block.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength {p} outside [0, 1]")
+    check_strength(p)
     if p == 0.0:
         return
     n, d = state.n, 2 ** len(pair)
@@ -237,30 +237,27 @@ def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
     state.rho = t.reshape(2**n, 2**n)
 
 
-class NoiseModel:
-    """Depolarize every multi-qubit gate's operand set right after the gate."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarizing strength {p} outside [0, 1]")
-        self.p = p
+def check_strength(p: float) -> None:
+    """Refuse a depolarizing strength outside [0, 1], nan included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing strength {p} outside [0, 1]")
 
 
 def apply_circuit(
-    state: PureState | MixedState, circuit: Circuit, noise: NoiseModel | None = None
+    state: PureState | MixedState, circuit: Circuit, p: float = 0.0
 ) -> PureState | MixedState:
-    """Run the circuit on a copy of the state and return the copy."""
+    """Run the circuit on a copy of the state and return the copy.  With p > 0
+    every multi-qubit gate's operand set is depolarized right after the gate."""
     if state.n != circuit.n_wires:
         raise ValueError(f"state has {state.n} wires, circuit {circuit.n_wires}")
-    if noise is not None and isinstance(state, PureState):
+    check_strength(p)
+    if p > 0.0 and isinstance(state, PureState):
         raise ValueError("noisy simulation needs a density matrix")
     out = state.copy()
     for g in circuit.gates:
         out.apply_gate(g)
-        if noise is not None and len(g.wires) >= 2 and noise.p > 0.0:
-            depolarize_pair(out, g.wires, noise.p)
+        if p > 0.0 and len(g.wires) >= 2:
+            depolarize_pair(out, g.wires, p)
     return out
 
 
@@ -349,8 +346,7 @@ def propagate_basis(
     bits is a (wires x inputs) uint8 matrix: column c holds the bits of input
     c.  Returns the output bit matrix and, per input, the power k mod 4 of
     the phase i**k the circuit multiplies in.  None when some gate is not
-    monomial and is not the middle of a monomial h G h triple; callers then
-    fall back to dense simulation.
+    monomial and is not the middle of a monomial h G h triple.
     """
     steps = _basis_steps(circuit.gates)
     if steps is None:
@@ -369,13 +365,26 @@ def propagate_basis(
     return bits, phase & 3
 
 
-def basis_deviation(bits: np.ndarray, phase: np.ndarray, expected: np.ndarray) -> float:
-    """Exact max |U - P| over propagated columns, P sending each input to its
-    expected bits with phase 1: a column that lands on its expected index
-    contributes |i**k - 1| (0, sqrt 2 or 2), one that lands elsewhere 1."""
-    hit = np.all(bits == expected, axis=0)
-    worst = 0.0 if hit.all() else 1.0
-    return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
+def basis_deviation(circuit: Circuit, inputs: np.ndarray, expected: np.ndarray) -> float:
+    """Max |U - P| over the columns of U named by the (wires x columns) bit
+    matrix inputs, P sending each to its column of expected with phase 1.
+    Exact when propagate_basis takes the circuit: |i**k - 1| (0, sqrt 2 or 2)
+    for a column that lands on its expected index, 1 for one that lands
+    elsewhere.  Else one statevector per column, so callers cap wires first."""
+    out = propagate_basis(circuit, inputs)
+    if out is not None:
+        bits, phase = out
+        hit = np.all(bits == expected, axis=0)
+        worst = 0.0 if hit.all() else 1.0
+        return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
+    n = circuit.n_wires
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    worst = 0.0
+    for i, j in zip(weights @ inputs, weights @ expected):
+        err = apply_circuit(PureState.basis(n, i), circuit).vec
+        err[j] -= 1.0
+        worst = max(worst, float(np.max(np.abs(err))))
+    return worst
 
 
 def random_product_state(n: int, rng: np.random.Generator) -> PureState:

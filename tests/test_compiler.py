@@ -3,8 +3,9 @@
 The reference oracle is pure bit arithmetic (reference_permutation_unitary);
 compiled circuits must match it exactly, including global phase, on the
 columns their preconditions allow.  verify_equivalence checks monomial
-circuits with the exact phase-permutation engine; the dense unitary,
-circuit_unitary minus the reference on the kept columns, is its oracle here.
+circuits with the exact phase-permutation engine and others with one
+statevector per kept column; the dense unitary, circuit_unitary minus the
+reference on the kept columns, is its oracle here.
 """
 
 import tracemalloc
@@ -137,6 +138,31 @@ def test_verify_equivalence_deviation_on_constrained_columns():
     assert verify_equivalence(path, bare, {0}) == pytest.approx(abs(1j - 1), abs=1e-15)
     # with both wires known zero only column 00 counts, and iSWAP fixes |00>
     assert verify_equivalence(path, bare, {0, 1}) == 0.0
+
+
+@pytest.mark.parametrize("wire", [7, -1, 3])
+def test_verify_equivalence_refuses_out_of_range_constraint_wires(wire):
+    path = SwapPath(3, ((0, 1),))
+    with pytest.raises(ValueError, match="constraint wires"):
+        verify_equivalence(path, compile_iscz(path).circuit, {wire})
+
+
+def test_dense_check_holds_one_statevector_not_the_unitary():
+    # 12 wires with 10 of them constrained keep 4 columns: the fsim circuit is
+    # checked on 4 statevectors of 2**12 amplitudes, not a 2**24-entry unitary
+    path = SwapPath(12, tuple((w, w + 1) for w in range(11)))
+    fsim = gates.fsim(0.3, 0.2)
+    circuit = compile_iscz(path).circuit.extended([Gate(fsim, (10, 11))])
+    tracemalloc.start()
+    try:
+        dev = verify_equivalence(path, circuit, set(range(10)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # wire 11 ends up holding a known zero, so fsim sees only |00> and |10>
+    want = np.max(np.abs(gates.gate_matrix(fsim) - np.eye(4))[:, [0, 2]])
+    assert abs(dev - want) <= 1e-12 and want > 0.1
 
 
 def test_cnot_baseline_is_exact_and_three_per_swap():

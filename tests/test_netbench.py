@@ -4,10 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
+from swapnet import netbench
 from swapnet.circuit import metrics
 from swapnet.compiler import apply_reference_permutation
 from swapnet.sim import DENSITY_WIRE_CAP
@@ -97,6 +99,36 @@ def test_run_benchmark_parallel_matches_serial():
     serial = run_benchmark(SMALL, jobs=1)
     parallel = run_benchmark(SMALL, jobs=2)
     assert serial == parallel
+
+
+def test_bench_jobs_is_bounded_by_tasks_and_cores(monkeypatch):
+    # a pool starts all of its workers at once, so --jobs 5000 must not ask
+    # for 5000; the fake pool records the request and runs tasks in process
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(netbench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    three = BenchConfig(sizes=(3,), trials=3, p=0.05, seed=42)
+    assert run_benchmark(three, jobs=5000) == run_benchmark(three, jobs=1)
+    assert asked == [3]  # three tasks
+    assert run_benchmark(SMALL, jobs=5000) == run_benchmark(SMALL, jobs=1)
+    assert asked == [3, 4]  # twelve tasks, four cores
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_benchmark(SMALL, jobs=5000) == run_benchmark(SMALL, jobs=1)
+    assert asked == [3, 4]  # core count unknown: run in this process
 
 
 def test_noiseless_fidelity_is_one_noisy_below():

@@ -15,7 +15,6 @@ from swapnet.gates import gate_matrix
 from swapnet.sim import (
     DENSITY_WIRE_CAP,
     MixedState,
-    NoiseModel,
     PureState,
     apply_circuit,
     basis_bits,
@@ -193,12 +192,17 @@ def test_propagated_phases_are_powers_of_i_mod_4():
 
 def test_basis_deviation_is_exact():
     expected = basis_bits(np.arange(4), 2)
+    hh = [Gate(gates.H, (0,))] * 2  # no h G h triple: the dense fallback, up to rounding
     for power, dev in enumerate([0.0, np.sqrt(2), 2.0, np.sqrt(2)]):
-        phase = np.array([0, power, 0, 0], dtype=np.uint8)
-        assert basis_deviation(expected, phase, expected) == dev == abs(1j**power - 1)
-    wrong = expected[::-1].copy()  # the two wires exchanged: 01 and 10 land elsewhere
-    assert basis_deviation(wrong, np.zeros(4, dtype=np.uint8), expected) == 1.0
-    assert basis_deviation(wrong, np.array([0, 0, 0, 2], dtype=np.uint8), expected) == 2.0
+        c = Circuit(2, (Gate(gates.S, (1,)),) * power)  # i**power on columns 01 and 11
+        assert basis_deviation(c, expected, expected) == dev == abs(1j**power - 1)
+        assert abs(basis_deviation(c.extended(hh), expected, expected) - dev) <= TOL
+    swapped = Circuit(2, (Gate(gates.SWAP, (0, 1)),))  # 01 and 10 land elsewhere
+    assert basis_deviation(swapped, expected, expected) == 1.0
+    minus = swapped.extended([Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
+    assert basis_deviation(minus, expected, expected) == 2.0
+    for c, dev in ((swapped, 1.0), (minus, 2.0)):
+        assert abs(basis_deviation(c.extended(hh), expected, expected) - dev) <= TOL
 
 
 def test_wire_zero_is_most_significant_bit():
@@ -330,18 +334,19 @@ def test_depolarize_bad_strength():
 def test_noise_model_rejects_pure_states():
     c = Circuit(2, (Gate(gates.CZ, (0, 1)),))
     with pytest.raises(ValueError):
-        apply_circuit(PureState.basis(2, 0), c, NoiseModel(0.1))
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
+        apply_circuit(PureState.basis(2, 0), c, 0.1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="depolarizing strength"):
+            apply_circuit(MixedState.basis(2, 0), c, p)
 
 
 def test_noise_applies_only_after_multi_qubit_gates():
     c1 = Circuit(2, (Gate(gates.H, (0,)),))
-    r = apply_circuit(MixedState.basis(2, 0), c1, NoiseModel(0.5))
+    r = apply_circuit(MixedState.basis(2, 0), c1, 0.5)
     pure = apply_circuit(PureState.basis(2, 0), c1)
     assert np.max(np.abs(r.rho - np.outer(pure.vec, pure.vec.conj()))) <= 1e-12
     c2 = Circuit(2, (Gate(gates.CZ, (0, 1)),))
-    r2 = apply_circuit(MixedState.basis(2, 0), c2, NoiseModel(1.0))
+    r2 = apply_circuit(MixedState.basis(2, 0), c2, 1.0)
     assert np.max(np.abs(r2.rho - np.eye(4) / 4)) <= TOL
 
 
