@@ -15,7 +15,9 @@ only one phase bump (the zero branch contributes neither), so it compiles to a
 bare iSWAP; two known zeros compile to nothing.  Extension "ext2": emit bare
 iSWAPs at the swap positions and defer each CZ to any moment where the two
 logical values involved sit on a coupled edge again; the slots immediately
-before and after the originating iSWAP are always legal.
+before and after the originating iSWAP are always legal.  compile_ext2 takes
+the earliest or the latest; one forward sweep finds both for every value pair,
+revisiting only the edges at each swap's wires: O(m * degree) for m swaps.
 """
 
 from __future__ import annotations
@@ -206,35 +208,57 @@ def compile_ext1(path: SwapPath, known_zero: frozenset[int] | set[int]) -> Compi
     return CompileResult(circuit, ledger, frozenset(zeros))
 
 
+def _check_coupling(path: SwapPath, coupling: CouplingMap) -> None:
+    if coupling.n_wires != path.n_wires:
+        raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
+
+
 def legal_cz_slots(path: SwapPath, coupling: CouplingMap, swap_index: int) -> list[int]:
     """All slots t (CZ after the first t iSWAPs) where swap_index's two values
     sit on a coupled edge.  Always contains swap_index and swap_index + 1 when
-    the path runs on the map's edges."""
+    the path runs on the map's edges.  A plain scan: compile_ext2's oracle."""
+    _check_coupling(path, coupling)
     m = len(path.pairs)
     if not 0 <= swap_index < m:
         raise ValueError(f"swap index {swap_index} outside 0..{m - 1}")
-    return _legal_slots(path, coupling, _wire_of_value_by_slot(path), swap_index)[1]
+    held = SwapPath(path.n_wires, path.pairs[:swap_index]).value_at()
+    wires = [held[w] for w in path.pairs[swap_index]]  # each value starts on its own wire
+    slots = [0] if coupling.has_edge(*wires) else []
+    for t, (a, b) in enumerate(path.pairs, 1):
+        wires = [b if w == a else a if w == b else w for w in wires]
+        if coupling.has_edge(*wires):
+            slots.append(t)
+    return slots
 
 
-def _wire_of_value_by_slot(path: SwapPath) -> list[list[int]]:
-    """table[t][v]: the wire of value v (named by its initial wire) after t swaps."""
-    wire_of = list(range(path.n_wires))
-    table = [wire_of.copy()]
-    for a, b in path.pairs:
-        ia, ib = wire_of.index(a), wire_of.index(b)
-        wire_of[ia], wire_of[ib] = b, a
-        table.append(wire_of.copy())
-    return table
+def _coupled_spans(path: SwapPath, coupling: CouplingMap) -> tuple[list, dict, dict]:
+    """The two values each swap exchanges and, for each value pair that ever
+    sits on an edge, the (slot, sorted wires) of the first and of the last slot
+    at which it does.  A swap only moves the pairs on edges at its two wires."""
+    around: list[list[tuple]] = [[] for _ in range(path.n_wires)]
+    for a, b in coupling.edges:
+        around[a].append((a, b, (a, b)))
+        around[b].append((b, a, (a, b)))
+    every_edge = [(a, b, (a, b)) for a, b in coupling.edges]
+    value_on = list(range(path.n_wires))
 
+    def coupled(t: int, edges: list[tuple]) -> dict:
+        out = {}
+        for c, d, wires in edges:
+            u, v = value_on[c], value_on[d]
+            out[(u, v) if u < v else (v, u)] = (t, wires)
+        return out
 
-def _legal_slots(
-    path: SwapPath, coupling: CouplingMap, wire_of: list[list[int]], j: int
-) -> tuple[tuple[int, int], list[int]]:
-    """The two values swap j exchanges, and every slot where they are coupled."""
-    a, b = path.pairs[j]
-    v1, v2 = wire_of[j].index(a), wire_of[j].index(b)
-    slots = [t for t, w in enumerate(wire_of) if coupling.has_edge(w[v1], w[v2])]
-    return (v1, v2), slots
+    moved, first, last = [], coupled(0, every_edge), {}
+    for t, (a, b) in enumerate(path.pairs, 1):
+        touched = around[a] + around[b]
+        last.update(coupled(t - 1, touched))  # a later slot overwrites it while still coupled
+        moved.append((value_on[a], value_on[b]))
+        value_on[a], value_on[b] = value_on[b], value_on[a]
+        for pair, span in coupled(t, touched).items():
+            first.setdefault(pair, span)
+    last.update(coupled(len(path.pairs), every_edge))
+    return moved, first, last
 
 
 def compile_ext2(
@@ -244,34 +268,24 @@ def compile_ext2(
     chosen legal slot.  The phase layer is identical to compile_iscz's."""
     if policy not in ("earliest", "latest"):
         raise ValueError(f"policy must be 'earliest' or 'latest', got {policy!r}")
-    if coupling.n_wires != path.n_wires:
-        raise ValueError(
-            f"coupling map has {coupling.n_wires} wires, path {path.n_wires}"
-        )
-    m = len(path.pairs)
-    wire_of = _wire_of_value_by_slot(path)
+    _check_coupling(path, coupling)
+    moved, first, last = _coupled_spans(path, coupling)
+    chosen = first if policy == "earliest" else last
     ledger = PhaseLedger(path.n_wires)
     pending: list[PendingCZ] = []
-    for j, (a, b) in enumerate(path.pairs):
+    for j, ((a, b), values) in enumerate(zip(path.pairs, moved)):
         ledger.record_swap(a, b)
-        values, slots = _legal_slots(path, coupling, wire_of, j)
-        if not slots:
+        span = chosen.get((min(values), max(values)))
+        if span is None:
             raise UnschedulableCZError(
                 j, f"deferred CZ of swap {j} has no legal slot on this coupling map"
             )
-        t = slots[0] if policy == "earliest" else slots[-1]
-        w1, w2 = (wire_of[t][v] for v in values)
-        pending.append(PendingCZ(j, values, t, (min(w1, w2), max(w1, w2))))
+        pending.append(PendingCZ(j, values, *span))
 
-    by_slot: dict[int, list[PendingCZ]] = {}
-    for p in pending:
-        by_slot.setdefault(p.slot, []).append(p)
-    body: list[Gate] = []
-    for t in range(m + 1):
-        for p in sorted(by_slot.get(t, []), key=lambda p: p.wires):
-            body.append(Gate(gates.CZ, p.wires))
-        if t < m:
-            body.append(Gate(gates.ISWAP, path.pairs[t]))
+    # the CZs of slot t go before iSWAP t, in wire order
+    keyed = [((p.slot, 0, p.wires), Gate(gates.CZ, p.wires)) for p in pending]
+    keyed += [((t, 1), Gate(gates.ISWAP, pair)) for t, pair in enumerate(path.pairs)]
+    body = [g for _, g in sorted(keyed, key=lambda kg: kg[0])]
     circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()))
     return CompileResult(circuit, ledger, pending=tuple(pending))
 
