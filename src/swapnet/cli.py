@@ -187,6 +187,8 @@ def cmd_qram_count(args: argparse.Namespace) -> int:
 
 
 def cmd_qram_verify(args: argparse.Namespace) -> int:
+    if args.max_inputs < 0:
+        raise CircuitFormatError(f"--max-inputs must be >= 0 (0 means all), got {args.max_inputs}")
     spec = _qram_spec_from_args(args)
     checked_layout(spec)  # the cap, before 2**(n+k) is sampled from
     inputs = None

@@ -152,6 +152,8 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
 
 
 def run_benchmark(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(n, t, config) for n in config.sizes for t in range(config.trials)]
     # all workers start at the first submit, so never ask for more than can run
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

@@ -31,19 +31,6 @@ from .layout import TreeLayout
 FULL_STATE_WIRE_CAP = 20  # bus + tree registers; scratch wires ride on top
 
 
-def ideal_qram_unitary(spec: QramSpec) -> np.ndarray:
-    """Permutation unitary of the fetch on the bus wires alone."""
-    n, k = spec.n, spec.k
-    dim = 2 ** (n + k)
-    u = np.zeros((dim, dim), dtype=complex)
-    for a in range(2**n):
-        for z in range(2**k):
-            col = (a << k) | z
-            row = (a << k) | (z ^ spec.memory[a])
-            u[row, col] = 1.0
-    return u
-
-
 def verify_qram(
     spec: QramSpec,
     build: QramBuild | None = None,

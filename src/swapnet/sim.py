@@ -15,8 +15,9 @@ slices.  The other kinds (h, fsim, xyevol, zzevol, syc) fall back to
 `tensordot` with the gate tensor cached per kind.  Depolarizing noise also
 works in place on the [2]*2n view.
 
-Density matrices cost 4^n; construction is capped (default n <= 10) so a typo
-cannot silently allocate gigabytes.  Statevectors are capped only by memory.
+Density matrices cost 4^n; construction is capped at a fixed n <= 10
+(DENSITY_WIRE_CAP), checked before the matrix is formed, so a typo cannot
+silently allocate gigabytes.  Statevectors are capped only by memory.
 States copy the array they are built from, so the in-place kernels never
 write into an array the caller still holds.
 
@@ -32,7 +33,8 @@ its expected index with phase 1, +-i or -1, and 1 for one that lands
 elsewhere.  For a circuit with any other gate (fsim, xyevol, zzevol, syc, a
 lone h) `propagate_basis` gives None, and `basis_deviation` runs one
 statevector per column instead; that is the only dense fallback.
-`circuit_unitary` stays as the test oracle.
+`circuit_unitary` stays as the test oracle.  `fidelity` compares a pure
+state with a pure or a mixed one.
 """
 
 from __future__ import annotations
@@ -79,32 +81,25 @@ class PureState:
         t = _apply_kind(self.vec.reshape([2] * self.n), gate.kind, gate.wires)
         self.vec = t.reshape(-1)
 
-    def to_density(self, cap: int = DENSITY_WIRE_CAP) -> "MixedState":
-        if self.n > cap:
-            raise ValueError(f"refusing density matrix on {self.n} wires (cap {cap})")
-        return MixedState(self.n, np.outer(self.vec, self.vec.conj()), cap=cap)
+    def to_density(self) -> "MixedState":
+        check_density_cap(self.n)  # before the 4**n outer product
+        return MixedState(self.n, np.outer(self.vec, self.vec.conj()))
 
 
 class MixedState:
     """Density matrix over n wires; rho has shape (2**n, 2**n)."""
 
-    __slots__ = ("n", "rho", "cap")
+    __slots__ = ("n", "rho")
 
-    def __init__(self, n: int, rho: np.ndarray, cap: int = DENSITY_WIRE_CAP):
-        if n > cap:
-            raise ValueError(f"refusing density matrix on {n} wires (cap {cap})")
+    def __init__(self, n: int, rho: np.ndarray):
+        check_density_cap(n)
         if rho.shape != (2**n, 2**n):
             raise ValueError(f"density matrix for {n} wires needs shape {(2**n, 2**n)}")
         self.n = n
         self.rho = np.array(rho, dtype=complex, order="C")
-        self.cap = cap
-
-    @staticmethod
-    def basis(n: int, index: int = 0) -> "MixedState":
-        return PureState.basis(n, index).to_density()
 
     def copy(self) -> "MixedState":
-        return MixedState(self.n, self.rho, cap=self.cap)
+        return MixedState(self.n, self.rho)
 
     def apply_gate(self, gate: Gate) -> None:
         n = self.n
@@ -261,16 +256,22 @@ def apply_circuit(
     return out
 
 
-def check_unitary_cap(n: int, cap: int = UNITARY_WIRE_CAP) -> None:
-    """Refuse a unitary, or a check over its columns, on more than cap wires."""
-    if n > cap:
-        raise ValueError(f"refusing unitary on {n} wires (cap {cap})")
+def check_density_cap(n: int) -> None:
+    """Refuse a density matrix on more than DENSITY_WIRE_CAP wires."""
+    if n > DENSITY_WIRE_CAP:
+        raise ValueError(f"refusing density matrix on {n} wires (cap {DENSITY_WIRE_CAP})")
 
 
-def circuit_unitary(circuit: Circuit, cap: int = UNITARY_WIRE_CAP) -> np.ndarray:
+def check_unitary_cap(n: int) -> None:
+    """Refuse a unitary, or a check over its columns, on more than UNITARY_WIRE_CAP wires."""
+    if n > UNITARY_WIRE_CAP:
+        raise ValueError(f"refusing unitary on {n} wires (cap {UNITARY_WIRE_CAP})")
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2**n x 2**n unitary; batched over columns, capped to keep memory sane."""
     n = circuit.n_wires
-    check_unitary_cap(n, cap)
+    check_unitary_cap(n)
     t = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
     for g in circuit.gates:
         t = _apply_kind(t, g.kind, g.wires)
@@ -397,21 +398,11 @@ def random_product_state(n: int, rng: np.random.Generator) -> PureState:
 
 
 def fidelity(a: PureState | MixedState, b: PureState | MixedState) -> float:
-    """Uhlmann fidelity Tr[sqrt(sqrt(r1) r2 sqrt(r1))]^2, with pure-state shortcuts."""
+    """|<a|b>|^2, or <a|rho|a> when one side is mixed; two mixed states are refused."""
     if isinstance(a, PureState) and isinstance(b, PureState):
         return float(abs(np.vdot(a.vec, b.vec)) ** 2)
     if isinstance(a, PureState):
         return float(np.real(np.vdot(a.vec, b.rho @ a.vec)))
     if isinstance(b, PureState):
         return fidelity(b, a)
-    sq = _psd_sqrt(a.rho)
-    inner = sq @ b.rho @ sq
-    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    evals = np.clip(evals, 0.0, None)
-    return float(np.sum(np.sqrt(evals)) ** 2)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+    raise TypeError("fidelity needs at least one pure state")

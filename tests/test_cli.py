@@ -207,6 +207,20 @@ def test_bench_size_range_is_refused_before_it_is_built(capsys, sizes):
     assert rc == 2 and out == "" and err.startswith("error: sizes")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--sizes", "3", "--trials", "1", "--jobs", "-4"], "jobs"),
+        (["qram-verify", "--n", "1", "--k", "1", "--memory", "0,1", "--max-inputs", "-5"],
+         "--max-inputs"),
+    ],
+)
+def test_negative_counts_are_refused(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be >= ") and len(err.splitlines()) == 1
+
+
 def test_qram_count_table_and_json(capsys):
     rc, out, _ = run(capsys, "qram-count", "--n", "3", "--k", "2")
     assert rc == 0 and "Internal-SWAP pairs" in out

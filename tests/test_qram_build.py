@@ -22,7 +22,6 @@ from swapnet.qram.layout import TreeLayout
 from swapnet.sim import PureState, apply_circuit
 from swapnet.qram.verify import (
     FULL_STATE_WIRE_CAP,
-    ideal_qram_unitary,
     verify_circuit_matches,
     verify_qram,
 )
@@ -118,26 +117,42 @@ def test_spec_json_round_trip(tmp_path):
         load_json(str(bad), qram_spec_from_dict)
 
 
-# -- ideal map ---------------------------------------------------------------
+# -- ideal map, checked by the verifier on a hand-built fetch -----------------
 
-def test_ideal_unitary_is_xor_table():
-    spec = QramSpec(1, 2, (3, 1))
-    u = ideal_qram_unitary(spec)
-    # address 0, z=0 -> word 3; z == memory -> 0
-    assert u[(0 << 2) | 3, (0 << 2) | 0] == 1.0
-    assert u[(0 << 2) | 0, (0 << 2) | 3] == 1.0
-    assert u[(1 << 2) | 0, (1 << 2) | 1] == 1.0
-    assert np.array_equal(u @ u.conj().T, np.eye(8))
+def ideal_fetch_circuit(spec):
+    """The fetch written out by hand on spec's layout wires: for each set
+    memory bit, an X-conjugated CNOT (n=1) or H.CCZ.H (n=2) from the address
+    bus onto that data wire, so it fires exactly at that address."""
+    lay = TreeLayout(spec.n, spec.k)
+    addr = [lay.address(i) for i in range(spec.n)]
+    gates_out = []
+    for a, word in enumerate(spec.memory):
+        flips = [
+            Gate(gates.X, (w,)) for i, w in enumerate(addr) if not (a >> (spec.n - 1 - i)) & 1
+        ]
+        for j in range(spec.k):
+            if not (word >> (spec.k - 1 - j)) & 1:
+                continue
+            d = lay.data(j)
+            if spec.n == 1:
+                fire = [Gate(gates.CNOT, (addr[0], d))]
+            else:
+                h = Gate(gates.H, (d,))
+                fire = [h, Gate(gates.CCZ, (*addr, d)), h]
+            gates_out += flips + fire + flips
+    return Circuit(lay.n_wires, tuple(gates_out))
 
 
-def test_ideal_unitary_full_truth_table():
-    spec = QramSpec(2, 2, (2, 0, 3, 1))
-    u = ideal_qram_unitary(spec)
-    for a in range(4):
-        for z in range(4):
-            col = (a << 2) | z
-            row = (a << 2) | (z ^ spec.memory[a])
-            assert u[row, col] == 1.0
+@pytest.mark.parametrize("n,k", SMALL_SIZES)
+def test_ideal_fetch_truth_table(n, k):
+    memory = tuple((3 * a + 1) % 2**k for a in range(2**n))
+    spec = QramSpec(n, k, memory)
+    circuit = ideal_fetch_circuit(spec)
+    assert verify_circuit_matches(spec, circuit) == 0.0
+    for a in range(2**n):
+        for j in range(k):
+            flipped = memory[:a] + (memory[a] ^ (1 << j),) + memory[a + 1 :]
+            assert verify_circuit_matches(QramSpec(n, k, flipped), circuit) == 1.0
 
 
 # -- semantics over the flag grid --------------------------------------------

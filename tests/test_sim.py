@@ -5,6 +5,8 @@ vectors) recomputes what the tensor kernels produce; a tensordot kernel and
 the einsum depolarizing formula pin the fast kernels bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from swapnet.circuit import Circuit, Gate
 from swapnet.gates import gate_matrix
 from swapnet.sim import (
     DENSITY_WIRE_CAP,
+    UNITARY_WIRE_CAP,
     MixedState,
     PureState,
     apply_circuit,
@@ -267,8 +270,7 @@ def test_circuit_unitary_examples():
 
 def test_circuit_unitary_cap():
     with pytest.raises(ValueError):
-        circuit_unitary(Circuit(13))
-    assert circuit_unitary(Circuit(13), cap=13).shape == (8192, 8192)
+        circuit_unitary(Circuit(UNITARY_WIRE_CAP + 1))
 
 
 def test_mixed_state_tracks_pure_outer_product():
@@ -283,32 +285,41 @@ def test_mixed_state_tracks_pure_outer_product():
 def test_density_cap_enforced():
     with pytest.raises(ValueError):
         MixedState(DENSITY_WIRE_CAP + 1, np.eye(2 ** (DENSITY_WIRE_CAP + 1), dtype=complex))
-    with pytest.raises(ValueError):
-        PureState.basis(DENSITY_WIRE_CAP + 1, 0).to_density()
+    # refused before the 4**n outer product: 256 MiB at two wires over the cap
+    state = PureState.basis(DENSITY_WIRE_CAP + 2, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            state.to_density()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_depolarize_zero_strength_is_identity():
-    r = MixedState.basis(2, 3)
+    r = PureState.basis(2, 3).to_density()
     before = r.rho.copy()
     depolarize_pair(r, (0, 1), 0.0)
     assert np.array_equal(r.rho, before)
 
 
 def test_depolarize_full_strength_gives_maximally_mixed_pair():
-    r = MixedState.basis(2, 0)
+    r = PureState.basis(2, 0).to_density()
     depolarize_pair(r, (0, 1), 1.0)
     assert np.max(np.abs(r.rho - np.eye(4) / 4)) <= TOL
 
 
 def test_copy_keeps_the_density_cap():
     # the copy apply_circuit runs on must allow what the original was built under
-    out = apply_circuit(PureState.basis(11).to_density(cap=11), Circuit(11))
-    assert out.n == 11 and out.rho[0, 0] == 1.0
+    n = DENSITY_WIRE_CAP
+    out = apply_circuit(PureState.basis(n).to_density(), Circuit(n))
+    assert out.n == n and out.rho[0, 0] == 1.0
 
 
 def test_depolarize_fidelity_analytic():
     # <00| rho' |00> = (1-p) + p/4 = 1 - 3p/4 = 0.985 at p = 0.02
-    r = MixedState.basis(2, 0)
+    r = PureState.basis(2, 0).to_density()
     depolarize_pair(r, (0, 1), 0.02)
     assert abs(fidelity(PureState.basis(2, 0), r) - 0.985) <= 1e-12
 
@@ -326,7 +337,7 @@ def test_depolarize_subset_preserves_trace_and_rest():
 
 
 def test_depolarize_bad_strength():
-    r = MixedState.basis(2, 0)
+    r = PureState.basis(2, 0).to_density()
     with pytest.raises(ValueError):
         depolarize_pair(r, (0, 1), 1.5)
 
@@ -337,16 +348,16 @@ def test_noise_model_rejects_pure_states():
         apply_circuit(PureState.basis(2, 0), c, 0.1)
     for p in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="depolarizing strength"):
-            apply_circuit(MixedState.basis(2, 0), c, p)
+            apply_circuit(PureState.basis(2, 0).to_density(), c, p)
 
 
 def test_noise_applies_only_after_multi_qubit_gates():
     c1 = Circuit(2, (Gate(gates.H, (0,)),))
-    r = apply_circuit(MixedState.basis(2, 0), c1, 0.5)
+    r = apply_circuit(PureState.basis(2, 0).to_density(), c1, 0.5)
     pure = apply_circuit(PureState.basis(2, 0), c1)
     assert np.max(np.abs(r.rho - np.outer(pure.vec, pure.vec.conj()))) <= 1e-12
     c2 = Circuit(2, (Gate(gates.CZ, (0, 1)),))
-    r2 = apply_circuit(MixedState.basis(2, 0), c2, 1.0)
+    r2 = apply_circuit(PureState.basis(2, 0).to_density(), c2, 1.0)
     assert np.max(np.abs(r2.rho - np.eye(4) / 4)) <= TOL
 
 
@@ -383,13 +394,10 @@ def test_fidelity_pure_vs_maximally_mixed():
     assert fidelity(r, a) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_fidelity_mixed_mixed_matches_pure_shortcut():
-    rng = np.random.default_rng(9)
-    a = random_product_state(2, rng)
-    b = random_product_state(2, rng)
-    direct = abs(np.vdot(a.vec, b.vec)) ** 2
-    uhlmann = fidelity(a.to_density(), b.to_density())
-    assert abs(direct - uhlmann) <= 1e-9
+def test_fidelity_refuses_two_mixed_states():
+    r = PureState.basis(1, 0).to_density()
+    with pytest.raises(TypeError, match="fidelity needs at least one pure state"):
+        fidelity(r, r.copy())
 
 
 def test_fidelity_dimension_mismatch():
