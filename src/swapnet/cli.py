@@ -12,8 +12,6 @@ import json
 import sys
 from typing import Any, Callable
 
-import numpy as np
-
 from . import __version__
 from .circuit import (
     MAX_WIRES,
@@ -35,11 +33,10 @@ from .compiler import (
     verify_equivalence,
 )
 from .gates import ARITY, GateKind, gate_matrix
-from .netbench import MODES, BenchConfig, run_benchmark, summary_text, write_csv, write_json
+from .netbench import BenchConfig, run_benchmark, summary_text, write_csv, write_json
 from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
 from .qram.layout import wire_count
-from .qram.verify import checked_layout
 from .sim import DENSITY_WIRE_CAP
 
 
@@ -118,7 +115,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         trials=args.trials,
         p=args.p,
         seed=args.seed,
-        modes=_parse_list(args.modes, "modes", str) or MODES,
     )
     records = run_benchmark(config, jobs=args.jobs)
     if args.csv:
@@ -187,18 +183,8 @@ def cmd_qram_count(args: argparse.Namespace) -> int:
 
 
 def cmd_qram_verify(args: argparse.Namespace) -> int:
-    if args.max_inputs < 0:
-        raise CircuitFormatError(f"--max-inputs must be >= 0 (0 means all), got {args.max_inputs}")
-    spec = _qram_spec_from_args(args)
-    checked_layout(spec)  # the cap, before 2**(n+k) is sampled from
-    inputs = None
-    if args.max_inputs:
-        rng = np.random.default_rng(args.seed)
-        total = 2 ** (spec.n + spec.k)
-        chosen = rng.choice(total, size=min(args.max_inputs, total), replace=False)
-        inputs = [(int(c) >> spec.k, int(c) % 2**spec.k) for c in sorted(chosen)]
-    dev = verify_qram(spec, inputs=inputs)
-    return _verdict(dev, args.tol, "qram circuit verified", "verification FAILED")
+    dev = verify_qram(_qram_spec_from_args(args))
+    return _verdict(dev, 0.0, "qram circuit verified", "verification FAILED")
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -259,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=100)
     b.add_argument("--p", type=float, default=0.02, help="two-qubit depolarizing strength")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--modes", help=f"comma list from {','.join(MODES)}")
     b.add_argument("--csv", help="write records CSV here instead of stdout")
     b.add_argument("--json", help="also write records JSON here")
     b.add_argument("--jobs", type=int, default=1)
@@ -276,11 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--json", action="store_true")
     qc.set_defaults(func=cmd_qram_count)
 
-    qv = sub.add_parser("qram-verify", help="simulate a QRAM spec against the ideal fetch")
+    qv = sub.add_parser("qram-verify", help="check a QRAM spec against the ideal fetch, exactly")
     _add_spec_arguments(qv)
-    qv.add_argument("--tol", type=tolerance, default=1e-9)
-    qv.add_argument("--max-inputs", type=int, default=0, help="sample this many basis inputs")
-    qv.add_argument("--seed", type=int, default=0, help="sampling seed for --max-inputs")
     qv.set_defaults(func=cmd_qram_verify)
 
     s = sub.add_parser("schedule", help="print the pipelined fetch schedule")

@@ -193,8 +193,8 @@ class PauliExpansion:
             out += c * np.kron(PAULI_1Q[label[0]], PAULI_1Q[label[1]])
         return out
 
-    def nonzero(self, tol: float = 1e-12) -> dict[str, complex]:
-        return {k: v for k, v in self.coeffs.items() if abs(v) > tol}
+    def nonzero(self) -> dict[str, complex]:
+        return {k: v for k, v in self.coeffs.items() if abs(v) > 1e-12}
 
 
 def pauli_expansion(kind: GateKind) -> PauliExpansion:

@@ -48,21 +48,18 @@ class BenchConfig:
     trials: int = 100
     p: float = 0.02
     seed: int = 0
-    modes: tuple[str, ...] = MODES
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "modes", tuple(self.modes))
         if not self.sizes or any(not 2 <= n <= DENSITY_WIRE_CAP for n in self.sizes):
             raise ValueError(f"sizes must be a nonempty list of 2 <= n <= {DENSITY_WIRE_CAP}")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"sizes {self.sizes} repeat a size")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_strength(self.p)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for m in self.modes:
-            if m not in MODES:
-                raise ValueError(f"unknown mode {m!r}; choose from {MODES}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     state = random_product_state(n, rng)
     ideal = apply_reference_permutation(path, state.vec)
     out = []
-    for mode in config.modes:
+    for mode in MODES:
         circuit = compile_mode(path, mode)
         pure = apply_circuit(state, circuit)
         fid_clean = float(abs(np.vdot(ideal, pure.vec)) ** 2)

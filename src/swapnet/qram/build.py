@@ -36,7 +36,7 @@ from ..circuit import (
     MAX_WIRES, Circuit, CircuitFormatError, Gate, as_bool, as_int, as_list, phase_gates
 )
 from .layout import TreeLayout
-from .schedule import Schedule, pipeline_schedule, word_chain
+from .schedule import pipeline_schedule, word_chain
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,6 @@ class QramBuild:
     layout: TreeLayout
     circuit: Circuit
     record: QramBuildRecord
-    schedule: Schedule | None
 
 
 def build_qram_circuit(spec: QramSpec) -> QramBuild:
@@ -140,17 +139,13 @@ class _Builder:
         self.swap_kind = gates.ISWAP if spec.extensions else gates.SWAP
         self.cswap_kind = gates.CISWAP if spec.extensions else gates.CSWAP
         self.seg: list[Gate] = []
-        self.schedule: Schedule | None = None
 
     def emit(self, kind: gates.GateKind, *wires: int) -> None:
         self.seg.append(Gate(kind, tuple(wires)))
 
     def build(self) -> QramBuild:
-        self.seg = setting = []
         self._setting()
-        self.seg = fetch = []
         self._fetch()
-        self.seg = unsetting = []
         self._uncompute_setting()
         head = self._start_corrections()
         tail = self._end_corrections()
@@ -164,10 +159,10 @@ class _Builder:
             rec.ext2_saved_pairs = rec.fetch_bidirectional_pairs
         circuit = Circuit(
             self.lay.n_wires,
-            tuple(head + setting + fetch + unsetting + tail),
+            tuple(head + self.seg + tail),
             self.lay.ancilla_wires(),
         )
-        return QramBuild(self.spec, self.lay, circuit, rec, self.schedule)
+        return QramBuild(self.spec, self.lay, circuit, rec)
 
     # -- address stage ------------------------------------------------------
 
@@ -255,8 +250,8 @@ class _Builder:
     def _fetch(self) -> None:
         n, k = self.spec.n, self.spec.k
         if self.spec.pipeline:
-            self.schedule = pipeline_schedule(n, k)
-            ops = [(op.kind, op.words, op.layers) for step in self.schedule.steps for op in step]
+            steps = pipeline_schedule(n, k).steps
+            ops = [(op.kind, op.words, op.layers) for step in steps for op in step]
         else:
             ops = [(kind, (i,), layers) for i in range(k) for kind, layers in word_chain(n)]
         for op in ops:

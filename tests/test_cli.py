@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, data on stdout, diagnostics on stderr."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ from swapnet.circuit import (
     coupling_from_dict,
     dump_json,
 )
-from swapnet.cli import main
+from swapnet.cli import build_parser, main
 from swapnet.compiler import (
     SwapPath,
     compile_iscz,
@@ -118,12 +119,18 @@ def test_bench_writes_files(capsys, tmp_path):
     json_file = tmp_path / "r.json"
     rc, out, _ = run(
         capsys, "bench", "--sizes", "3,4", "--trials", "2",
-        "--csv", str(csv_file), "--json", str(json_file), "--modes", "cnot,iscz_fused",
+        "--csv", str(csv_file), "--json", str(json_file),
     )
     assert rc == 0 and out == ""
     assert csv_file.read_text().startswith("n,trial,mode")
     docs = json.loads(json_file.read_text())
-    assert len(docs) == 2 * 2 * 2
+    assert len(docs) == 2 * 2 * 3  # sizes x trials x modes, every mode always
+
+
+def test_bench_refuses_a_repeated_size(capsys):
+    rc, out, err = run(capsys, "bench", "--sizes", "3,3", "--trials", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: sizes") and len(err.splitlines()) == 1
 
 
 def test_qram_build_and_verify(capsys, tmp_path):
@@ -152,19 +159,24 @@ def test_qram_build_needs_spec_or_inline(capsys):
     assert rc == 2 and "error:" in err
 
 
-def test_qram_verify_sampled_inputs(capsys):
+def test_qram_verify_is_exhaustive_and_exact(capsys):
     rc, out, _ = run(
         capsys, "qram-verify", "--n", "2", "--k", "2", "--memory", "0,1,2,3",
-        "--extensions", "--pipeline", "--max-inputs", "5", "--seed", "3",
+        "--extensions", "--pipeline",
     )
-    assert rc == 0 and "max deviation" in out
+    assert rc == 0 and out == "max deviation: 0.000000e+00\n"
 
 
-def test_qram_verify_checks_the_cap_before_sampling(capsys):
-    # 2**71 inputs to sample from: the cap must refuse before rng.choice sees them
-    rc, out, err = run(
-        capsys, "qram-verify", "--n", "1", "--k", "70", "--memory", "0,1", "--max-inputs", "1"
-    )
+def test_qram_verify_fails_on_any_nonzero_deviation(capsys, monkeypatch):
+    monkeypatch.setattr("swapnet.cli.verify_qram", lambda spec: 1e-12)
+    rc, out, err = run(capsys, "qram-verify", "--n", "1", "--k", "1", "--memory", "0,1")
+    assert rc == 1 and out == "max deviation: 1.000000e-12\n"
+    assert "verification FAILED" in err
+
+
+def test_qram_verify_checks_the_cap_before_building(capsys):
+    # 2**71 inputs: the cap must refuse before the circuit or any input exists
+    rc, out, err = run(capsys, "qram-verify", "--n", "1", "--k", "70", "--memory", "0,1")
     assert rc == 2 and out == ""
     assert err.startswith("error: full-state verification capped at 20")
     assert len(err.splitlines()) == 1
@@ -211,8 +223,6 @@ def test_bench_size_range_is_refused_before_it_is_built(capsys, sizes):
     "argv, flag",
     [
         (["bench", "--sizes", "3", "--trials", "1", "--jobs", "-4"], "jobs"),
-        (["qram-verify", "--n", "1", "--k", "1", "--memory", "0,1", "--max-inputs", "-5"],
-         "--max-inputs"),
     ],
 )
 def test_negative_counts_are_refused(capsys, argv, flag):
@@ -327,16 +337,47 @@ def test_bad_tolerance_is_usage_error_before_simulating(capsys, monkeypatch, pat
         raise AssertionError("simulated despite a bad --tol")
 
     monkeypatch.setattr("swapnet.cli.verify_equivalence", refuse)
-    monkeypatch.setattr("swapnet.cli.verify_qram", refuse)
-    for argv in (
-        ["verify", "--path", path_file, "--circuit", path_file, "--tol", tol],
-        ["qram-verify", "--n", "1", "--k", "1", "--memory", "0,1", "--tol", tol],
-    ):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--tol" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--path", path_file, "--circuit", path_file, "--tol", tol])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qram-verify", "--n", "1", "--k", "1", "--memory", "0,1", "--tol", "1e-9"],
+        ["bench", "--sizes", "3", "--trials", "1", "--modes", "cnot"],
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+FLAGS = {
+    "bench": ["--csv", "--jobs", "--json", "--p", "--seed", "--sizes", "--trials"],
+    "compile": ["--coupling", "--known-zero", "--mode", "--out", "--path", "--policy"],
+    "matrix": ["--gate", "--json", "--params"],
+    "qram-build": ["--extensions", "--k", "--memory", "--n", "--out", "--pipeline", "--spec"],
+    "qram-count": ["--json", "--k", "--n"],
+    "qram-verify": ["--extensions", "--k", "--memory", "--n", "--pipeline", "--spec"],
+    "schedule": ["--k", "--n"],
+    "verify": ["--circuit", "--path", "--tol"],
+}
+
+
+def test_flag_inventory():
+    """Every option of every subcommand; a new or removed knob is a diff here."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert found == FLAGS
 
 
 # -- fuzz: every subcommand, in process ------------------------------------------
@@ -416,10 +457,6 @@ def qram_argv(draw):
         argv = [command, "--n", str(n), "--k", str(k),
                 "--memory", draw(st.sampled_from([",".join(map(str, memory)), "1.5,0", "x", ""]))]
         argv += ["--extensions"] * spec["extensions"] + ["--pipeline"] * spec["pipeline"]
-    if command == "qram-verify":
-        # two sampled inputs keep a spec with k = 13, which fits under the
-        # full-state cap when n = 1, cheap to simulate
-        argv += ["--max-inputs", "2", "--tol", draw(st.sampled_from(["1e-9", "nan", "-1"]))]
     return argv, files
 
 

@@ -82,8 +82,8 @@ def test_config_validation():
         BenchConfig(sizes=(3,), trials=0)
     with pytest.raises(ValueError):
         BenchConfig(sizes=(3,), p=1.5)
-    with pytest.raises(ValueError):
-        BenchConfig(sizes=(3,), modes=("nosuch",))
+    with pytest.raises(ValueError, match="^sizes"):
+        BenchConfig(sizes=(3, 4, 3))  # each (n, trial, mode) record once
 
 
 def test_run_benchmark_shape_and_determinism():

@@ -255,11 +255,15 @@ def test_non_monomial_circuits_fall_back_to_statevectors():
     assert verify_circuit_matches(spec, circuit.extended([Gate(gates.H, (tree[0],))])) > 0.5
 
 
-def test_inputs_outside_the_bus_are_refused():
-    spec = QramSpec(2, 1, (0, 1, 1, 0))
-    for bad in ([(4, 0)], [(0, 2)], [(-1, 0)]):
-        with pytest.raises(ValueError, match="outside"):
-            verify_qram(spec, inputs=bad)
+@pytest.mark.parametrize("n,k,flag", [(1, 17, True), (2, 12, False)])
+def test_exhaustive_verification_at_the_cap(n, k, flag):
+    # the most basis inputs the full-state cap admits: 2**18 and 2**14
+    (memory,) = memories(n, k, 1, seed=n + k)
+    spec = QramSpec(n, k, memory, extensions=flag, pipeline=flag)
+    assert n + k + TreeLayout(n, k).n_tree_wires == FULL_STATE_WIRE_CAP
+    build = build_qram_circuit(spec)
+    assert verify_qram(spec, build) == 0.0
+    assert verify_qram(flip_one_bit(spec, seed=k), build) == 1.0
 
 
 def test_verification_cap_enforced():
