@@ -8,15 +8,14 @@ failed, 2 malformed input or I/O trouble.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Any, Callable
 
 from . import __version__
 from .circuit import (
-    MAX_WIRES,
     CircuitFormatError,
-    as_int,
     circuit_from_dict,
     coupling_from_dict,
     dump_json,
@@ -36,7 +35,7 @@ from .gates import ARITY, GateKind, gate_matrix
 from .netbench import BenchConfig, run_benchmark, summary_text, write_csv, write_json
 from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
-from .qram.layout import wire_count
+from .qram.layout import TreeLayout
 from .sim import DENSITY_WIRE_CAP
 
 
@@ -80,6 +79,13 @@ def _verdict(dev: float, tol: float, good: str, bad: str) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    for flag, value, mode in (
+        ("--known-zero", args.known_zero, "ext1"),
+        ("--coupling", args.coupling, "ext2"),
+        ("--policy", args.policy, "ext2"),
+    ):
+        if value is not None and args.mode != mode:
+            raise CircuitFormatError(f"{flag} needs --mode {mode}, not {args.mode}")
     path = load_json(args.path, swap_path_from_dict)
     if args.mode == "cnot":
         circuit, corrections = compile_cnot_baseline(path), 0
@@ -91,7 +97,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         else:  # ext2
             if not args.coupling:
                 raise CircuitFormatError("--mode ext2 needs --coupling MAP.json")
-            res = compile_ext2(path, load_json(args.coupling, coupling_from_dict), args.policy)
+            coupling = load_json(args.coupling, coupling_from_dict)
+            res = compile_ext2(path, coupling, args.policy or "earliest")
         circuit, corrections = res.circuit, res.n_corrections
     dump_json(circuit, args.out)
     met = metrics(circuit)
@@ -116,21 +123,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
         p=args.p,
         seed=args.seed,
     )
-    records = run_benchmark(config, jobs=args.jobs)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, sys.stdout)
-    if args.json:
-        with open(args.json, "w") as fh:
-            write_json(records, fh)
+    with contextlib.ExitStack() as stack:  # open both outputs before any trial runs
+        csv_out = stack.enter_context(open(args.csv, "w")) if args.csv else sys.stdout
+        json_out = stack.enter_context(open(args.json, "w")) if args.json else None
+        records = run_benchmark(config, jobs=args.jobs)
+        write_csv(records, csv_out)
+        if json_out:
+            write_json(records, json_out)
     print(summary_text(records), file=sys.stderr)
     return 0
 
 
 def _qram_spec_from_args(args: argparse.Namespace) -> QramSpec:
     if args.spec:
+        for flag in ("n", "k", "memory", "extensions", "pipeline"):
+            if vars(args)[flag] is not None and vars(args)[flag] is not False:
+                raise CircuitFormatError(f"--spec excludes --{flag}")
         return load_json(args.spec, qram_spec_from_dict)
     if args.n is None or args.k is None or args.memory is None:
         raise CircuitFormatError("need --spec FILE or all of --n, --k, --memory")
@@ -162,15 +170,10 @@ def cmd_qram_build(args: argparse.Namespace) -> int:
 
 
 def _tree_size(args: argparse.Namespace) -> tuple[int, int]:
-    """--n and --k, refused when the QRAM layout they describe would exceed
-    MAX_WIRES; the wire count is arithmetic, so nothing is built first."""
-    n = as_int(args.n, "--n", limit=MAX_WIRES)
-    k = as_int(args.k, "--k", limit=MAX_WIRES)
-    if n < 1 or k < 1:
-        raise CircuitFormatError(f"need --n >= 1 and --k >= 1, got n={n} k={k}")
-    if wire_count(n, k) > MAX_WIRES:
-        raise CircuitFormatError(f"n={n} k={k}: the QRAM layout exceeds {MAX_WIRES} wires")
-    return n, k
+    """--n and --k, refused by TreeLayout when the QRAM layout they describe
+    is out of range; the wire count is arithmetic, so nothing is built first."""
+    lay = TreeLayout(args.n, args.k)
+    return lay.n, lay.k
 
 
 def cmd_qram_count(args: argparse.Namespace) -> int:
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("iscz", "cnot", "ext1", "ext2"), default="iscz")
     c.add_argument("--known-zero", help="comma list of wires starting in |0> (ext1)")
     c.add_argument("--coupling", help="coupling map JSON file (ext2)")
-    c.add_argument("--policy", choices=("earliest", "latest"), default="earliest")
+    c.add_argument("--policy", choices=("earliest", "latest"), help="ext2 only; default earliest")
     c.add_argument("--out", help="write circuit JSON here instead of stdout")
     c.set_defaults(func=cmd_compile)
 

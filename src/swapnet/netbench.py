@@ -182,22 +182,9 @@ def write_csv(records: Iterable[TrialRecord], out: TextIO) -> None:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in records:
-        w.writerow(
-            [
-                r.n,
-                r.trial,
-                r.mode,
-                r.m_swaps,
-                r.two_qubit_gates,
-                r.depth,
-                r.two_qubit_depth,
-                repr(r.fidelity_noiseless),
-                repr(r.fidelity_noisy),
-                repr(r.p),
-                r.seed,
-                "-".join(map(str, r.permutation)),
-            ]
-        )
+        row = [getattr(r, c) for c in CSV_COLUMNS]
+        row[-1] = "-".join(map(str, r.permutation))
+        w.writerow(row)
 
 
 def write_json(records: Iterable[TrialRecord], out: TextIO) -> None:

@@ -17,7 +17,9 @@ cell 2q + 1.  The ancestor of cell v at layer l is node (l, v >> (n - l)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..circuit import MAX_WIRES
 
 
 def wire_count(n: int, k: int) -> int:
@@ -27,20 +29,17 @@ def wire_count(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class TreeLayout:
+    """Wires of one (n, k) tree; the one owner of the MAX_WIRES limit on QRAM layouts."""
+
     n: int
     k: int
-    _node_base: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError("need n >= 1 address bits and k >= 1 data bits")
-        base = {}
-        w = self.n + self.k
-        for l in range(self.n):
-            for m in range(2**l):
-                base[(l, m)] = w
-                w += 2
-        object.__setattr__(self, "_node_base", base)
+        # n and k first, so that 2**n is never formed for a huge n
+        if not (1 <= self.n <= MAX_WIRES and 1 <= self.k <= MAX_WIRES):
+            raise ValueError(f"need 1 <= n, k <= {MAX_WIRES}, got n={self.n} k={self.k}")
+        if wire_count(self.n, self.k) > MAX_WIRES:
+            raise ValueError(f"n={self.n} k={self.k}: the QRAM layout exceeds {MAX_WIRES} wires")
 
     @property
     def n_tree_wires(self) -> int:
@@ -65,10 +64,13 @@ class TreeLayout:
         return self.n + bit
 
     def node_addr(self, l: int, m: int) -> int:
-        return self._node_base[(l, m)]
+        """Address register of node (l, m): level order, two wires a node."""
+        if not (0 <= l < self.n and 0 <= m < 2**l):
+            raise ValueError(f"tree node ({l}, {m}) outside levels 0..{self.n - 1}")
+        return self.n + self.k + 2 * (2**l - 1 + m)
 
     def node_data(self, l: int, m: int) -> int:
-        return self._node_base[(l, m)] + 1
+        return self.node_addr(l, m) + 1
 
     def scratch(self, i: int) -> int:
         if not 0 <= i < self.n_scratch:

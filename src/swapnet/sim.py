@@ -12,8 +12,8 @@ ciswap, ciscz, ccz, and the identity), are applied in place by moving whole
 slices along the cycles of their permutation and multiplying by the phase;
 those multiplies are exact, and diagonal kinds touch only their non-unit
 slices.  The other kinds (h, fsim, xyevol, zzevol, syc) fall back to
-`tensordot` with the gate tensor cached per kind.  Depolarizing noise also
-works in place on the [2]*2n view.
+`tensordot` with the gate matrix.  Depolarizing noise also works in place on
+the [2]*2n view.
 
 Density matrices cost 4^n; construction is capped at a fixed n <= 10
 (DENSITY_WIRE_CAP), checked before the matrix is formed, so a typo cannot
@@ -24,15 +24,17 @@ write into an array the caller still holds.
 Verification needs no amplitudes at all.  A monomial gate sends a basis
 state to one basis state times a power of i, so `propagate_basis` pushes a
 batch of basis inputs through a circuit as a (wires x inputs) uint8 bit
-matrix plus an integer phase power mod 4 per input.  Each kind's (input
-index -> output index, phase power) table is cached once; an h G h triple on
-one wire of G is one step when the conjugated matrix is monomial, which the
-H.CCZ.H Toffoli of the QRAM builder is.  `basis_deviation` turns the result
-into the dense max |U - P| exactly: 0, sqrt 2 or 2 for a column that lands on
-its expected index with phase 1, +-i or -1, and 1 for one that lands
-elsewhere.  For a circuit with any other gate (fsim, xyevol, zzevol, syc, a
-lone h) `propagate_basis` gives None, and `basis_deviation` runs one
-statevector per column instead; that is the only dense fallback.
+matrix plus an integer phase power mod 4 per input.  One cached table per
+monomial kind, `_monomial`, serves both engines: the cycles the in-place
+kernel moves slices along, and the (input index -> output index, phase power)
+map this engine reads.  An h G h triple on one wire of G is one step when the
+conjugated matrix is monomial, which the H.CCZ.H Toffoli of the QRAM builder
+is.  `basis_deviation` turns the result into the dense max |U - P| exactly:
+0, sqrt 2 or 2 for a column that lands on its expected index with phase 1,
++-i or -1, and 1 for one that lands elsewhere.  For a circuit with any
+other gate (fsim, xyevol, zzevol, syc, a lone h) `propagate_basis` gives
+None, and `basis_deviation` runs one statevector per column instead; that is
+the only dense fallback.
 `circuit_unitary` stays as the test oracle.  `fidelity` compares a pure
 state with a pure or a mixed one.
 """
@@ -111,32 +113,36 @@ class MixedState:
 
 
 _PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
+_H_INT = np.array([[1, 1], [1, -1]])  # sqrt(2) h, exact in integers
 
 
-def _monomial_rows(u: np.ndarray) -> np.ndarray | None:
-    """Row of the one nonzero entry in each column of u, or None when u is
-    not monomial with every nonzero entry in _PHASES."""
+@lru_cache(maxsize=256)
+def _monomial(kind: GateKind, h_operand: int | None = None) -> tuple | None:
+    """The one table of a monomial kind, read by both engines.
+
+    Column j of the matrix is i**power[j] times the basis vector dest[j].
+    Returned as (cycles, (moves, power)):
+    - cycles, for _apply_kind: output index i takes phase * input index
+      src(i); a cycle ((i0, ph0), (i1, ph1), ...) lists i1 = src(i0),
+      i2 = src(i1), ... and wraps round; fixed points with phase 1 are left out;
+    - moves, for propagate_basis: each operand position whose bit can change,
+      paired with that bit of dest, per j; power is None when every phase is 1.
+    With h_operand the gate is first conjugated by h on that operand (h G h,
+    as in the H.CCZ.H Toffoli), formed with the integer matrix [[1, 1],
+    [1, -1]] and halved, so exactly.  None when the matrix is not monomial
+    with every nonzero entry in _PHASES.
+    """
+    u = gate_matrix(kind)
+    a = kind.arity
+    if h_operand is not None:
+        h = np.kron(np.kron(np.eye(2**h_operand), _H_INT), np.eye(2 ** (a - 1 - h_operand)))
+        u = h @ u @ h / 2
     nonzero = u != 0
     if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
         return None
     if not all(z in _PHASES for z in u[nonzero]):
         return None
-    return np.argmax(nonzero, axis=0)
-
-
-@lru_cache(maxsize=256)
-def _monomial_cycles(kind: GateKind) -> tuple[tuple[tuple[int, complex], ...], ...] | None:
-    """The (source index, phase) table of a monomial kind, split into cycles.
-
-    Output index i of the gate takes phase * input index src(i).  A cycle
-    ((i0, ph0), (i1, ph1), ...) lists i1 = src(i0), i2 = src(i1), ... and
-    wraps round; fixed points with phase 1 are left out.  None when the kind
-    is not monomial with power-of-i phases.
-    """
-    u = gate_matrix(kind)
-    dest = _monomial_rows(u)
-    if dest is None:
-        return None
+    dest = np.argmax(nonzero, axis=0)
     src = np.argsort(dest)
     cycles = []
     seen: set[int] = set()
@@ -149,15 +155,13 @@ def _monomial_cycles(kind: GateKind) -> tuple[tuple[tuple[int, complex], ...], .
             i = int(src[i])
         if cycle and cycle != [(start, 1)]:
             cycles.append(tuple(cycle))
-    return tuple(cycles)
-
-
-@lru_cache(maxsize=256)
-def _gate_tensor(kind: GateKind, conj: bool) -> np.ndarray:
-    u = gate_matrix(kind)
-    t = (u.conj() if conj else u).reshape([2] * (2 * kind.arity))
-    t.setflags(write=False)
-    return t
+    power = np.array([_PHASES.index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
+    moves = []
+    for p in range(a):
+        bit = ((dest >> (a - 1 - p)) & 1).astype(np.uint8)
+        if np.any(bit != (np.arange(2**a) >> (a - 1 - p)) & 1):
+            moves.append((p, bit))
+    return tuple(cycles), (tuple(moves), (power if power.any() else None))
 
 
 def _scaled_copy(src: np.ndarray, phase: complex, dst: np.ndarray) -> None:
@@ -187,14 +191,14 @@ def _apply_kind(
     tensor.  Axes beyond the gate's are untouched, so t may carry any trailing
     shape (circuit_unitary keeps one axis of 2**n columns).
     """
-    cycles = _monomial_cycles(kind)
-    if cycles is None:
+    table = _monomial(kind)
+    if table is None:
+        u = gate_matrix(kind)
         w = len(axes)
-        out = np.tensordot(
-            _gate_tensor(kind, conj), t, axes=(list(range(w, 2 * w)), list(axes))
-        )
+        g = (u.conj() if conj else u).reshape([2] * (2 * w))
+        out = np.tensordot(g, t, axes=(list(range(w, 2 * w)), list(axes)))
         return np.moveaxis(out, list(range(w)), list(axes))
-    for cycle in cycles:
+    for cycle in table[0]:
         parts = [_part(t, axes, i) for i, _ in cycle]
         phases = [ph.conjugate() if conj else ph for _, ph in cycle]
         if len(cycle) == 1:
@@ -280,37 +284,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 # -- exact phase-permutation engine -------------------------------------------
 
-_H_INT = np.array([[1, 1], [1, -1]])  # sqrt(2) h, exact in integers
 _DEVIATION_BY_POWER = np.abs(np.array(_PHASES) - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
-
-
-@lru_cache(maxsize=256)
-def _basis_map(kind: GateKind, h_operand: int | None = None) -> tuple | None:
-    """How a monomial gate acts on the basis index j of its operands: column
-    j of its matrix is i**power[j] times the basis vector dest[j].
-
-    Returned as (moves, power).  moves pairs each operand position whose bit
-    can change with that bit of dest, per j; power is None when every phase
-    is 1.  With h_operand the gate is first conjugated by h on that operand
-    (h G h, as in the H.CCZ.H Toffoli), formed with the integer matrix
-    [[1, 1], [1, -1]] and halved, so exactly.  None when the matrix is not
-    monomial with power-of-i entries.
-    """
-    u = gate_matrix(kind)
-    a = kind.arity
-    if h_operand is not None:
-        h = np.kron(np.kron(np.eye(2**h_operand), _H_INT), np.eye(2 ** (a - 1 - h_operand)))
-        u = h @ u @ h / 2
-    dest = _monomial_rows(u)
-    if dest is None:
-        return None
-    power = np.array([_PHASES.index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
-    moves = []
-    for p in range(a):
-        bit = ((dest >> (a - 1 - p)) & 1).astype(np.uint8)
-        if np.any(bit != (np.arange(2**a) >> (a - 1 - p)) & 1):
-            moves.append((p, bit))
-    return tuple(moves), (power if power.any() else None)
 
 
 def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]] | None:
@@ -320,14 +294,14 @@ def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]]
     i = 0
     while i < len(gates):
         g, width = gates[i], 1
-        step = _basis_map(g.kind)
-        if step is None and g.kind == H and gates[i + 2 : i + 3] == (g,):
+        table = _monomial(g.kind)
+        if table is None and g.kind == H and gates[i + 2 : i + 3] == (g,):
             mid, width = gates[i + 1], 3
             if g.wires[0] in mid.wires:
-                g, step = mid, _basis_map(mid.kind, mid.wires.index(g.wires[0]))
-        if step is None:
+                g, table = mid, _monomial(mid.kind, mid.wires.index(g.wires[0]))
+        if table is None:
             return None
-        steps.append((g.wires, step))
+        steps.append((g.wires, table[1]))
         i += width
     return steps
 

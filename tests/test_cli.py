@@ -85,6 +85,44 @@ def test_compile_ext1_and_ext2(capsys, tmp_path, path_file):
     assert kinds.count("iswap") == 2 and kinds.count("cz") == 2
 
 
+@pytest.mark.parametrize(
+    "mode, extra, flag",
+    [
+        ("iscz", ["--known-zero", "0,2"], "--known-zero"),
+        ("iscz", ["--coupling", "line.json"], "--coupling"),
+        ("iscz", ["--policy", "latest"], "--policy"),
+        ("cnot", ["--policy", "earliest"], "--policy"),
+        ("ext1", ["--known-zero", "0", "--coupling", "line.json"], "--coupling"),
+        ("ext2", ["--known-zero", "0", "--coupling", "line.json"], "--known-zero"),
+    ],
+)
+def test_compile_refuses_flags_its_mode_ignores(capsys, tmp_path, path_file, mode, extra, flag):
+    dump_json(CouplingMap.line(3), str(tmp_path / "line.json"))
+    extra = [str(tmp_path / a) if a == "line.json" else a for a in extra]
+    rc, out, err = run(capsys, "compile", "--path", path_file, "--mode", mode, *extra)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {flag} needs --mode ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["qram-build", "qram-verify"])
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--n", "1", "--k", "1", "--memory", "0,1"], "--n"),
+        (["--memory", "0,1"], "--memory"),
+        (["--k", "1"], "--k"),
+        (["--extensions"], "--extensions"),
+        (["--pipeline"], "--pipeline"),
+    ],
+)
+def test_qram_spec_file_refuses_inline_flags(capsys, tmp_path, command, extra, flag):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 1, "k": 1, "memory": [0, 1]}))
+    rc, out, err = run(capsys, command, "--spec", str(spec), *extra)
+    assert rc == 2 and out == ""
+    assert err == f"error: --spec excludes {flag}\n"
+
+
 def test_ext2_without_coupling_is_usage_error(capsys, path_file):
     rc, _, err = run(capsys, "compile", "--path", path_file, "--mode", "ext2")
     assert rc == 2 and "error:" in err
@@ -125,6 +163,23 @@ def test_bench_writes_files(capsys, tmp_path):
     assert csv_file.read_text().startswith("n,trial,mode")
     docs = json.loads(json_file.read_text())
     assert len(docs) == 2 * 2 * 3  # sizes x trials x modes, every mode always
+
+
+@pytest.mark.parametrize("bad", ["--csv", "--json"])
+def test_bench_opens_its_outputs_before_any_trial(capsys, tmp_path, monkeypatch, bad):
+    def no_trials(*args, **kwargs):
+        pytest.fail("run_benchmark called before the outputs were opened")
+
+    monkeypatch.setattr("swapnet.cli.run_benchmark", no_trials)
+    files = {"--csv": tmp_path / "r.csv", "--json": tmp_path / "r.json"}
+    files[bad] = tmp_path / "nonexistent" / "r.out"
+    argv = ["bench", "--sizes", "3", "--trials", "1"]
+    for flag, file in files.items():
+        argv += [flag, str(file)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(not f.exists() or f.read_text() == "" for f in files.values())
 
 
 def test_bench_refuses_a_repeated_size(capsys):
@@ -180,6 +235,18 @@ def test_qram_verify_checks_the_cap_before_building(capsys):
     assert rc == 2 and out == ""
     assert err.startswith("error: full-state verification capped at 20")
     assert len(err.splitlines()) == 1
+
+
+def test_qram_build_refuses_a_tree_its_reader_would_refuse(capsys, tmp_path):
+    # n = 15, k = 1 is 65,563 wires, over the 65,536 a circuit file may hold
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 15, "k": 1, "memory": [0] * 2**15}))
+    out_file = tmp_path / "qram.json"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "qram-build", "--spec", str(spec), "--out", str(out_file))
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == "" and not out_file.exists()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -421,9 +488,11 @@ def compile_argv(draw):
     files = {"path.json": draw(mutated(swap_path_to_dict(path)))}
     argv = ["compile", "--path", "path.json"]
     mode = draw(st.sampled_from(["iscz", "cnot", "ext1", "ext2"]))
-    argv += ["--mode", mode, "--policy", draw(st.sampled_from(["earliest", "latest"]))]
+    argv += ["--mode", mode]
     if mode == "ext1":
         argv += ["--known-zero", draw(st.sampled_from(["0", "0,1", "", "x", "99", "-1"]))]
+    if mode == "ext2":
+        argv += ["--policy", draw(st.sampled_from(["earliest", "latest"]))]
     if mode == "ext2" and draw(st.booleans()):
         line = {"n": path.n_wires, "edges": [[i, i + 1] for i in range(path.n_wires - 1)]}
         files["map.json"] = draw(mutated(line))

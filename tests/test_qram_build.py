@@ -83,6 +83,29 @@ def test_layout_bounds_checks():
         lay.scratch(0)
     with pytest.raises(ValueError):
         TreeLayout(0, 1)
+    with pytest.raises(ValueError):
+        TreeLayout(1, 0)
+
+
+@pytest.mark.parametrize("l, m", [(2, 0), (1, 2), (-1, 0), (0, -1), (0, 1)])
+def test_tree_node_outside_the_layout_is_refused(l, m):
+    lay = TreeLayout(2, 2)
+    with pytest.raises(ValueError, match="tree node"):
+        lay.node_addr(l, m)
+    with pytest.raises(ValueError, match="tree node"):
+        lay.node_data(l, m)
+
+
+@pytest.mark.parametrize("n, k", [(15, 1), (17, 1), (1, 65535)])
+def test_layout_refuses_more_wires_than_a_circuit_may_have(n, k):
+    with pytest.raises(ValueError):
+        TreeLayout(n, k)
+
+
+def test_build_refuses_a_tree_its_reader_would_refuse():
+    # n = 15, k = 1 is 65,563 wires; a circuit file may hold at most 65,536
+    with pytest.raises(ValueError, match="exceeds 65536 wires"):
+        build_qram_circuit(QramSpec(15, 1, (0,) * 2**15))
 
 
 # -- spec --------------------------------------------------------------------
