@@ -191,11 +191,9 @@ class Violation:
         return f"gate {self.gate_index} ({self.gate}): {self.reason}"
 
 
-def validate(circuit: Circuit, coupling: CouplingMap | None = None) -> list[Violation]:
+def validate(circuit: Circuit, coupling: CouplingMap) -> list[Violation]:
     """Structural checks beyond construction: coupling-map conformance of multi-qubit gates."""
     out = []
-    if coupling is None:
-        return out
     if coupling.n_wires != circuit.n_wires:
         out.append(Violation(-1, None, f"coupling map has {coupling.n_wires} wires, circuit {circuit.n_wires}"))
         return out

@@ -32,7 +32,7 @@ from .compiler import (
     verify_equivalence,
 )
 from .gates import ARITY, GateKind, gate_matrix
-from .netbench import BenchConfig, run_benchmark, summary_text, write_csv, write_json
+from .netbench import BenchConfig, check_jobs, run_benchmark, summary_text, write_csv, write_json
 from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
 from .qram.layout import TreeLayout
@@ -123,11 +123,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         p=args.p,
         seed=args.seed,
     )
+    check_jobs(args.jobs)  # before an output file is created
     with contextlib.ExitStack() as stack:  # open both outputs before any trial runs
-        csv_out = stack.enter_context(open(args.csv, "w")) if args.csv else sys.stdout
-        json_out = stack.enter_context(open(args.json, "w")) if args.json else None
+        # append mode keeps an existing file's bytes until both outputs are open
+        outs = [stack.enter_context(open(f, "a")) if f else None for f in (args.csv, args.json)]
+        for out in filter(None, outs):
+            out.truncate(0)
+        csv_out, json_out = outs
         records = run_benchmark(config, jobs=args.jobs)
-        write_csv(records, csv_out)
+        write_csv(records, csv_out or sys.stdout)
         if json_out:
             write_json(records, json_out)
     print(summary_text(records), file=sys.stderr)

@@ -148,9 +148,14 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     return out
 
 
-def run_benchmark(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
+def check_jobs(jobs: int) -> None:
+    """Refuse a worker count below 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
+def run_benchmark(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
+    check_jobs(jobs)
     tasks = [(n, t, config) for n in config.sizes for t in range(config.trials)]
     # all workers start at the first submit, so never ask for more than can run
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -188,12 +193,7 @@ def write_csv(records: Iterable[TrialRecord], out: TextIO) -> None:
 
 
 def write_json(records: Iterable[TrialRecord], out: TextIO) -> None:
-    docs = []
-    for r in records:
-        d: dict[str, Any] = asdict(r)
-        d["permutation"] = list(r.permutation)
-        docs.append(d)
-    json.dump(docs, out, indent=1)
+    json.dump([asdict(r) for r in records], out, indent=1)
     out.write("\n")
 
 

@@ -170,14 +170,14 @@ class _Builder:
         for l in range(self.spec.n):
             self.emit(gates.SWAP, self.lay.address(l), self.lay.node_data(0, 0))
             for j in range(l):
-                self._routing(j, "setting", ("addr", l))
+                self._routing(j, "setting", l)
             self._internal_swap(l)
 
     def _uncompute_setting(self) -> None:
         for l in reversed(range(self.spec.n)):
             self._internal_swap(l)
             for j in reversed(range(l)):
-                self._routing(j, "setting", ("addr", l), up=True)
+                self._routing(j, "setting", l, up=True)
             self.emit(gates.SWAP, self.lay.address(l), self.lay.node_data(0, 0))
 
     def _internal_swap(self, l: int) -> None:
@@ -197,11 +197,11 @@ class _Builder:
                 lay.node_data(l, right),
             )
         self.rec.internal_swap_pairs += 2 ** (l - 1)
-        self._record_hop(("addr", l))
+        self.rec.addr_hops[l] += 1
 
     # -- routing primitives -------------------------------------------------
 
-    def _routing(self, j: int, family: str, hop: tuple[str, int], up: bool = False) -> None:
+    def _routing(self, j: int, family: str, hop: int, up: bool = False) -> None:
         # the moving bit crosses exactly one member of the pair either branch:
         # going down, C-SWAP to the right child first, then SWAP to the left
         # child; going up, the same two gates in the opposite order
@@ -213,12 +213,14 @@ class _Builder:
                 Gate(self.swap_kind, (pd, lay.node_data(j + 1, 2 * m))),
             ]
             self.seg.extend(reversed(pair) if up else pair)
-        if family == "setting":
-            self.rec.setting_routing_pairs += 2**j
-        else:
-            self.rec.fetch_unidirectional_pairs += 2**j
-            self.rec.fetch_routing_ops += 1
-        self._record_hop(hop)
+        rec = self.rec
+        if family == "setting":  # hop is the address bit carried down or up
+            rec.setting_routing_pairs += 2**j
+            rec.addr_hops[hop] += 1
+        else:  # hop is the word whose data bit moves
+            rec.fetch_unidirectional_pairs += 2**j
+            rec.fetch_routing_ops += 1
+            (rec.data_hops_up if up else rec.data_hops_down)[hop] += 1
 
     def _routing_bidir(self, j: int, down_word: int, up_word: int) -> None:
         # one exchange parent.d <-> on-path child.d: anti-controlled to the
@@ -233,17 +235,8 @@ class _Builder:
         self.rec.fetch_bidirectional_pairs += 2**j
         self.rec.fetch_routing_ops += 1
         self.rec.merged_routings += 1
-        self._record_hop(("down", down_word))
-        self._record_hop(("up", up_word))
-
-    def _record_hop(self, hop: tuple[str, int]) -> None:
-        which, idx = hop
-        if which == "addr":
-            self.rec.addr_hops[idx] += 1
-        elif which == "down":
-            self.rec.data_hops_down[idx] += 1
-        else:
-            self.rec.data_hops_up[idx] += 1
+        self.rec.data_hops_down[down_word] += 1
+        self.rec.data_hops_up[up_word] += 1
 
     # -- fetch stage --------------------------------------------------------
 
@@ -261,9 +254,9 @@ class _Builder:
         if kind in ("D", "Ddag"):
             self.emit(gates.SWAP, self.lay.data(words[0]), self.lay.node_data(0, 0))
         elif kind == "Rdown":
-            self._routing(layers[0], "fetch", ("down", words[0]))
+            self._routing(layers[0], "fetch", words[0])
         elif kind == "Rup":
-            self._routing(layers[0], "fetch", ("up", words[0]), up=True)
+            self._routing(layers[0], "fetch", words[0], up=True)
         elif kind == "Rbidir":
             self._routing_bidir(layers[0], words[0], words[1])
         elif kind == "M":

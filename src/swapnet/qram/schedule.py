@@ -2,42 +2,25 @@
 
 Protocol ops per word (data bit) i, in fixed order: D (bus <-> root transfer),
 Routings down layer pairs (0,1)..(n-2,n-1), M (memory copy at the leaves),
-Routings back up, D again.  The canonical cadence starts word i at step 2i.
-An up-Routing of word j and the down-Routing of word j+g land on the same
-layer pair (n-1-g, n-g) at the same canonical step whenever g <= n-1; each
-such coincidence is merged into one bidirectional Routing.
+Routings back up, Ddag (root -> bus).  The schedule is in closed form:
 
-Canonical placement can still collide on wires (for word gaps of exactly n,
-both D ops want the root data register in one step), so ops are placed
-greedily at the earliest step >= canonical that respects per-word op order
-and is conflict-free.  Conflicts are judged on layer-state footprints: D
-touches its bus wire plus the root data layer, a Routing touches the data
-registers of its two layers plus the controlling address layer, M touches
-the leaf layer.  Merges are structural (the gap rule), never an artifact of
-step coincidence, so the merged-op count is min-independent of repair.
+- word i starts at s_i = 2i + max(0, i - (n-1)); D, the down-Routings and M
+  run at steps s_i .. s_i + n;
+- the up-Routing on pair (a, a+1) is, when word i+g (g = n-1-a) exists, the
+  bidirectional Routing (Rbidir) that word i+g runs there at s_{i+g} + 1 + a;
+  otherwise it runs one step after the word's previous op;
+- Ddag runs one step after the word's last up-Routing (after M when n = 1).
+
+The cadence rises from 2 to 3 at word n because at 2, word i's D would take
+the root data register in step s_{i-1} + 2, where word i-n's Ddag takes it.
+No step uses one register (bus wire, address layer, data layer) twice; that
+conflict rule lives only in tests/test_qram_schedule.py, which checks it and
+replays the step-by-step greedy placement this formula reproduces.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-
-
-@dataclass
-class _Op:
-    kind: str  # D | Rdown | Rbidir | Rup | M | Ddag
-    words: tuple[int, ...]  # (word,) or (down_word, up_word) for Rbidir
-    layers: tuple[int, ...]  # (a, a+1) for Routing kinds, () otherwise
-    canon: int
-    step: int = -1
-
-    def footprint(self, n: int) -> frozenset:
-        if self.kind in ("D", "Ddag"):
-            return frozenset([("bus", self.words[0]), ("dlayer", 0)])
-        if self.kind == "M":
-            return frozenset([("alayer", n - 1), ("dlayer", n - 1)])
-        a = self.layers[0]
-        return frozenset([("alayer", a), ("dlayer", a), ("dlayer", a + 1)])
 
 
 @dataclass(frozen=True)
@@ -89,53 +72,26 @@ def pipeline_schedule(n: int, k: int) -> Schedule:
     """Schedule the k word-chains over n tree layers."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    chain = word_chain(n)
-
-    # Structural merges: down word j+g meets up word j at layer pair (n-1-g, n-g).
-    down_merge: dict[tuple[int, int], int] = {}
-    for g in range(1, min(n - 1, k - 1) + 1):
-        for j in range(k - g):
-            down_merge[(j + g, n - 1 - g)] = j
-
-    op_of: dict[tuple[int, int], _Op] = {}
-    for (i, a), j in down_merge.items():
-        op = _Op("Rbidir", (i, j), (a, a + 1), 2 * i + 1 + a)
-        op_of[(i, 1 + a)] = op
-        op_of[(j, n + (n - 1 - a))] = op
-    for i in range(k):
-        for p, (kind, layers) in enumerate(chain):
-            if (i, p) not in op_of:
-                op_of[(i, p)] = _Op(kind, (i,), layers, 2 * i + p)
-
-    unique = list({id(op): op for op in op_of.values()}.values())  # a merge is listed twice
-    unique.sort(key=lambda op: (op.canon, min(op.words), op.kind))
-
-    # per footprint key, taken step -> a later step to try: jumps, not a scan
-    last_step = {i: -1 for i in range(k)}
-    next_free: dict[tuple, dict[int, int]] = defaultdict(dict)
-    for op in unique:
-        t = max([op.canon] + [last_step[w] + 1 for w in op.words])
-        fp = op.footprint(n)
-        while (s := max(_free_from(next_free[key], t) for key in fp)) != t:
-            t = s
-        for key in fp:
-            next_free[key][t] = t + 1
-        op.step = t
-        for w in op.words:
-            last_step[w] = t
-
-    n_steps = max(op.step for op in unique) + 1
-    by_step: list[list[ScheduleOp]] = [[] for _ in range(n_steps)]
-    for op in unique:
-        by_step[op.step].append(ScheduleOp(op.kind, op.words, op.layers, op.step))
-    for step in by_step:
-        step.sort(key=lambda op: (min(op.words), op.kind))
-    return Schedule(n, k, tuple(tuple(s) for s in by_step), len(down_merge))
-
-
-def _free_from(taken: dict[int, int], t: int) -> int:
-    """The first step >= t not in taken, halving the path of links it follows."""
-    while t in taken:
-        taken[t] = taken.get(taken[t], taken[t])
-        t = taken[t]
-    return t
+    start = [2 * i + max(0, i - (n - 1)) for i in range(k)]
+    ops: list[ScheduleOp] = []
+    for i, s in enumerate(start):
+        ops.append(ScheduleOp("D", (i,), (), s))
+        for a in range(n - 1):
+            up = i - (n - 1 - a)  # the earlier word this Routing meets, if any
+            kind, words = ("Rbidir", (i, up)) if up >= 0 else ("Rdown", (i,))
+            ops.append(ScheduleOp(kind, words, (a, a + 1), s + 1 + a))
+        t = s + n
+        ops.append(ScheduleOp("M", (i,), (), t))
+        for a in range(n - 2, -1, -1):
+            down = i + n - 1 - a
+            if down < k:  # merged into the Rbidir that word `down` emits
+                t = start[down] + 1 + a
+            else:
+                t += 1
+                ops.append(ScheduleOp("Rup", (i,), (a, a + 1), t))
+        ops.append(ScheduleOp("Ddag", (i,), (), t + 1))
+    by_step: list[list[ScheduleOp]] = [[] for _ in range(max(op.step for op in ops) + 1)]
+    for op in sorted(ops, key=lambda op: (min(op.words), op.kind)):
+        by_step[op.step].append(op)
+    merged = sum(op.kind == "Rbidir" for op in ops)
+    return Schedule(n, k, tuple(tuple(s) for s in by_step), merged)

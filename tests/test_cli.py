@@ -182,6 +182,26 @@ def test_bench_opens_its_outputs_before_any_trial(capsys, tmp_path, monkeypatch,
     assert all(not f.exists() or f.read_text() == "" for f in files.values())
 
 
+def test_refused_jobs_create_no_csv(capsys, tmp_path):
+    csv = tmp_path / "x.csv"
+    argv = ["bench", "--sizes", "3", "--trials", "1", "--jobs", "-4", "--csv", str(csv)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err.startswith("error: jobs must be >= ")
+    assert not csv.exists()
+
+
+def test_unopenable_json_keeps_an_existing_csv(capsys, tmp_path):
+    csv = tmp_path / "y.csv"
+    csv.write_bytes(b"kept\n")
+    bad_json = tmp_path / "nonexistent" / "y.json"
+    argv = ["bench", "--sizes", "3", "--trials", "1", "--csv", str(csv)]
+    rc, out, err = run(capsys, *argv, "--json", str(bad_json))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+    assert csv.read_bytes() == b"kept\n"
+    rc, _, _ = run(capsys, *argv)  # a run that goes ahead still replaces the old bytes
+    assert rc == 0 and csv.read_text().startswith("n,")
+
+
 def test_bench_refuses_a_repeated_size(capsys):
     rc, out, err = run(capsys, "bench", "--sizes", "3,3", "--trials", "1")
     assert rc == 2 and out == ""

@@ -7,11 +7,12 @@ each op picks the bit up exactly where the previous op left it.
 
 import time
 from collections import defaultdict
+from dataclasses import dataclass
 
 import pytest
 
 from swapnet.qram.counts import merged_pair_count
-from swapnet.qram.schedule import ScheduleOp, _Op, pipeline_schedule, word_chain
+from swapnet.qram.schedule import ScheduleOp, pipeline_schedule, word_chain
 
 GRID = [(n, k) for n in range(1, 7) for k in range(1, 7)]
 
@@ -151,6 +152,15 @@ def test_known_step_counts_table():
             assert pipeline_schedule(n, k).n_steps == steps, (n, k)
 
 
+@dataclass
+class ScanOp:
+    kind: str  # D | Rdown | Rbidir | Rup | M | Ddag
+    words: tuple  # (word,) or (down_word, up_word) for Rbidir
+    layers: tuple  # (a, a+1) for Routing kinds, () otherwise
+    canon: int  # step on the cadence-2 grid, before conflict repair
+    step: int = -1
+
+
 def scan_schedule(n, k):
     """Oracle: the scheduler as first written, placing each op by scanning
     forward one step at a time until none of its footprint keys is taken."""
@@ -161,13 +171,13 @@ def scan_schedule(n, k):
             down_merge[(j + g, n - 1 - g)] = j
     op_of = {}
     for (i, a), j in down_merge.items():
-        op = _Op("Rbidir", (i, j), (a, a + 1), 2 * i + 1 + a)
+        op = ScanOp("Rbidir", (i, j), (a, a + 1), 2 * i + 1 + a)
         op_of[(i, 1 + a)] = op
         op_of[(j, n + (n - 1 - a))] = op
     for i in range(k):
         for p, (kind, layers) in enumerate(chain):
             if (i, p) not in op_of:
-                op_of[(i, p)] = _Op(kind, (i,), layers, 2 * i + p)
+                op_of[(i, p)] = ScanOp(kind, (i,), layers, 2 * i + p)
     unique, seen = [], set()
     for op in op_of.values():
         if id(op) not in seen:
@@ -178,7 +188,7 @@ def scan_schedule(n, k):
     occupied = defaultdict(set)
     for op in unique:
         t = max([op.canon] + [last_step[w] + 1 for w in op.words])
-        fp = op.footprint(n)
+        fp = op_footprint(op, n)
         while occupied[t] & fp:
             t += 1
         occupied[t] |= fp
@@ -198,6 +208,13 @@ def test_placement_matches_the_step_by_step_scan_on_a_grid():
         for k in range(1, 40):
             s = pipeline_schedule(n, k)
             assert (s.steps, s.merged_routings) == scan_schedule(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n", range(8, 16))
+def test_placement_matches_the_step_by_step_scan_for_deep_trees(n):
+    for k in sorted({1, 2, n - 1, n, n + 1, 2 * n + 1, 40}):
+        s = pipeline_schedule(n, k)
+        assert (s.steps, s.merged_routings) == scan_schedule(n, k), (n, k)
 
 
 @pytest.mark.parametrize("n,k", [(1, 300), (5, 300), (3, 1000)])
