@@ -94,6 +94,8 @@ class CouplingMap:
     def __post_init__(self):
         norm = frozenset((min(a, b), max(a, b)) for a, b in self.edges)
         object.__setattr__(self, "edges", norm)
+        if self.n_wires < 1:
+            raise ValueError(f"coupling map needs at least one wire, got n={self.n_wires}")
         for a, b in norm:
             if a == b:
                 raise ValueError(f"self-loop edge ({a}, {b})")
@@ -227,6 +229,8 @@ def circuit_from_dict(data: Any) -> Circuit:
     n = as_int(data.get("n"), "n", limit=MAX_WIRES)
     gates = as_list(data.get("gates", []), "gates", _gate_from_dict)
     known_zero = as_list(data.get("known_zero", []), "known_zero", as_int)
+    if len(set(known_zero)) < len(known_zero):
+        raise _refuse("known_zero", "distinct wires", data["known_zero"])
     try:
         return Circuit(n, gates, frozenset(known_zero))
     except ValueError as e:

@@ -31,7 +31,7 @@ from . import gates
 from .circuit import (
     MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, phase_gates
 )
-from .sim import basis_bits, basis_deviation, check_unitary_cap
+from .sim import basis_bits, basis_deviation, check_basis_cap, check_unitary_cap
 
 
 class UnschedulableCZError(RuntimeError):
@@ -52,6 +52,8 @@ class SwapPath:
     def __post_init__(self):
         norm = tuple((int(a), int(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", norm)
+        if self.n_wires < 1:
+            raise ValueError(f"swap path needs at least one wire, got n={self.n_wires}")
         for a, b in norm:
             if a == b:
                 raise ValueError(f"SWAP pair ({a}, {b}) repeats a wire")
@@ -323,19 +325,18 @@ def verify_equivalence(
     path: SwapPath, circuit: Circuit, constraints: frozenset[int] | set[int] = frozenset()
 ) -> float:
     """Max elementwise deviation between the compiled circuit's unitary and the
-    reference permutation, over basis columns whose constraint wires are 0.
-    Exact equality including global phase is the target; sim.basis_deviation
-    checks the kept columns.
-    """
+    reference permutation, over basis columns whose constraint wires are 0,
+    exactly, global phase included.  The kept columns span the free wires;
+    n x 2**len(free) is bounded by sim.check_basis_cap before they exist.
+    sim.basis_deviation refuses a circuit outside the SWAP-network gates."""
     if circuit.n_wires != path.n_wires:
         raise ValueError(f"circuit has {circuit.n_wires} wires, path {path.n_wires}")
     n = path.n_wires
-    check_unitary_cap(n)  # refuses oversized circuits before allocating
     if any(not 0 <= w < n for w in constraints):
         raise ValueError(f"constraint wires {sorted(constraints)} not all in 0..{n - 1}")
-    cols = np.arange(2**n)
-    for w in constraints:
-        cols = cols[(cols >> (n - 1 - w)) & 1 == 0]
-    inputs = basis_bits(cols, n)
+    free = [w for w in range(n) if w not in constraints]
+    check_basis_cap(n, 2 ** len(free))
+    inputs = np.zeros((n, 2 ** len(free)), dtype=np.uint8)
+    inputs[free] = basis_bits(np.arange(2 ** len(free)), len(free))
     # wire w ends up holding the value that started on wire value_at()[w]
     return basis_deviation(circuit, inputs, inputs[path.value_at()])

@@ -12,9 +12,10 @@ the h pair around each CCZ of a Toffoli, and h.CCZ.h is again such a gate.
 So all inputs are pushed through the circuit at once as a bit matrix plus an
 integer phase power mod 4 (sim.propagate_basis), and the deviation is exact:
 0, sqrt 2 or 2 for a right output with phase 1, +-i or -1, and 1 for a wrong
-one.  For a circuit with any other gate, such as one read from a file,
-sim.basis_deviation runs a dense statevector per input instead.  Both paths
-keep the full-state cap.
+one.  A circuit with any other gate, such as one read from a file, is refused
+with a ValueError.  The one size bound is the engine's: checked_layout refuses
+a layout whose (wires x 2**(n+k)) bit matrix is over sim.BASIS_ENTRY_CAP
+entries, before anything is built.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuit import Circuit
-from ..sim import basis_bits, basis_deviation
+from ..sim import basis_bits, basis_deviation, check_basis_cap
 from .build import QramBuild, QramSpec, build_qram_circuit
 from .layout import TreeLayout
-
-FULL_STATE_WIRE_CAP = 20  # bus + tree registers; scratch wires ride on top
 
 
 def verify_qram(spec: QramSpec, build: QramBuild | None = None) -> float:
@@ -56,11 +55,7 @@ def verify_circuit_matches(spec: QramSpec, circuit: Circuit) -> float:
 
 
 def checked_layout(spec: QramSpec) -> TreeLayout:
-    """spec's layout, refused above the full-state cap before anything is built."""
+    """spec's layout, refused over the engine's bit-matrix bound before anything is built."""
     lay = TreeLayout(spec.n, spec.k)
-    if spec.n + spec.k + lay.n_tree_wires > FULL_STATE_WIRE_CAP:
-        raise ValueError(
-            f"full-state verification capped at {FULL_STATE_WIRE_CAP} bus+tree wires; "
-            f"n={spec.n} k={spec.k} needs {spec.n + spec.k + lay.n_tree_wires}"
-        )
+    check_basis_cap(lay.n_wires, 2 ** (spec.n + spec.k))
     return lay

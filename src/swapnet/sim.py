@@ -29,14 +29,14 @@ monomial kind, `_monomial`, serves both engines: the cycles the in-place
 kernel moves slices along, and the (input index -> output index, phase power)
 map this engine reads.  An h G h triple on one wire of G is one step when the
 conjugated matrix is monomial, which the H.CCZ.H Toffoli of the QRAM builder
-is.  `basis_deviation` turns the result into the dense max |U - P| exactly:
-0, sqrt 2 or 2 for a column that lands on its expected index with phase 1,
-+-i or -1, and 1 for one that lands elsewhere.  For a circuit with any
-other gate (fsim, xyevol, zzevol, syc, a lone h) `propagate_basis` gives
-None, and `basis_deviation` runs one statevector per column instead; that is
-the only dense fallback.
-`circuit_unitary` stays as the test oracle.  `fidelity` compares a pure
-state with a pure or a mixed one.
+is.  Those are every gate a SWAP-network compiler or the QRAM builder emits;
+any other (fsim, xyevol, zzevol, syc, a lone h) is refused with a ValueError
+that names it.  `basis_deviation` turns the result into the dense max |U - P|
+exactly: 0, sqrt 2 or 2 for a column that lands on its expected index with
+phase 1, +-i or -1, and 1 for one that lands elsewhere.  Its one size bound,
+`check_basis_cap`, refuses a bit matrix over BASIS_ENTRY_CAP entries before
+the inputs exist.  `circuit_unitary` stays as the test oracle.  `fidelity`
+compares a pure state with a pure or a mixed one.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .gates import H, GateKind, gate_matrix
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
+BASIS_ENTRY_CAP = 1 << 24  # 16 MiB per uint8 bit matrix; the engine holds about four
 
 
 class PureState:
@@ -267,7 +268,7 @@ def check_density_cap(n: int) -> None:
 
 
 def check_unitary_cap(n: int) -> None:
-    """Refuse a unitary, or a check over its columns, on more than UNITARY_WIRE_CAP wires."""
+    """Refuse a dense unitary (the test oracles) on more than UNITARY_WIRE_CAP wires."""
     if n > UNITARY_WIRE_CAP:
         raise ValueError(f"refusing unitary on {n} wires (cap {UNITARY_WIRE_CAP})")
 
@@ -287,9 +288,9 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 _DEVIATION_BY_POWER = np.abs(np.array(_PHASES) - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
 
 
-def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]] | None:
+def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]]:
     """Each gate's (wires, basis map), an h G h triple on one wire of G taken
-    as one step; None when some gate is neither monomial nor so fused."""
+    as one step; a ValueError names the first gate that is neither."""
     steps = []
     i = 0
     while i < len(gates):
@@ -300,10 +301,17 @@ def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]]
             if g.wires[0] in mid.wires:
                 g, table = mid, _monomial(mid.kind, mid.wires.index(g.wires[0]))
         if table is None:
-            return None
+            raise ValueError(f"not a SWAP-network circuit: gate {i} ({gates[i]}) is not monomial")
         steps.append((g.wires, table[1]))
         i += width
     return steps
+
+
+def check_basis_cap(wires: int, inputs: int) -> None:
+    """Refuse a bit matrix of wires x inputs (a power of two) over BASIS_ENTRY_CAP entries."""
+    if wires * inputs > BASIS_ENTRY_CAP:
+        size = f"{wires} wires x 2**{inputs.bit_length() - 1} basis inputs"
+        raise ValueError(f"refusing exact check: {size} is over 2**24 bit-matrix entries")
 
 
 def basis_bits(indices: np.ndarray, n: int) -> np.ndarray:
@@ -313,19 +321,14 @@ def basis_bits(indices: np.ndarray, n: int) -> np.ndarray:
     return ((np.asarray(indices)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
 
 
-def propagate_basis(
-    circuit: Circuit, bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+def propagate_basis(circuit: Circuit, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Push basis inputs through a circuit exactly, without any amplitudes.
 
     bits is a (wires x inputs) uint8 matrix: column c holds the bits of input
     c.  Returns the output bit matrix and, per input, the power k mod 4 of
-    the phase i**k the circuit multiplies in.  None when some gate is not
-    monomial and is not the middle of a monomial h G h triple.
+    the phase i**k the circuit multiplies in.
     """
-    steps = _basis_steps(circuit.gates)
-    if steps is None:
-        return None
+    steps = _basis_steps(circuit.gates)  # refuses a gate outside the engine's set
     bits = np.array(bits, dtype=np.uint8)
     phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
     for wires, (moves, power) in steps:
@@ -342,24 +345,13 @@ def propagate_basis(
 
 def basis_deviation(circuit: Circuit, inputs: np.ndarray, expected: np.ndarray) -> float:
     """Max |U - P| over the columns of U named by the (wires x columns) bit
-    matrix inputs, P sending each to its column of expected with phase 1.
-    Exact when propagate_basis takes the circuit: |i**k - 1| (0, sqrt 2 or 2)
-    for a column that lands on its expected index, 1 for one that lands
-    elsewhere.  Else one statevector per column, so callers cap wires first."""
-    out = propagate_basis(circuit, inputs)
-    if out is not None:
-        bits, phase = out
-        hit = np.all(bits == expected, axis=0)
-        worst = 0.0 if hit.all() else 1.0
-        return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
-    n = circuit.n_wires
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    worst = 0.0
-    for i, j in zip(weights @ inputs, weights @ expected):
-        err = apply_circuit(PureState.basis(n, i), circuit).vec
-        err[j] -= 1.0
-        worst = max(worst, float(np.max(np.abs(err))))
-    return worst
+    matrix inputs, P sending each to its column of expected with phase 1:
+    |i**k - 1| (0, sqrt 2 or 2) for a column that lands on its expected
+    index, 1 for one that lands elsewhere."""
+    bits, phase = propagate_basis(circuit, inputs)
+    hit = np.all(bits == expected, axis=0)
+    worst = 0.0 if hit.all() else 1.0
+    return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
 
 
 def random_product_state(n: int, rng: np.random.Generator) -> PureState:

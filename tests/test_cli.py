@@ -250,11 +250,44 @@ def test_qram_verify_fails_on_any_nonzero_deviation(capsys, monkeypatch):
 
 
 def test_qram_verify_checks_the_cap_before_building(capsys):
-    # 2**71 inputs: the cap must refuse before the circuit or any input exists
+    # 73 wires x 2**71 inputs: the engine's bound must refuse before the
+    # circuit or any input exists
+    start = time.perf_counter()
     rc, out, err = run(capsys, "qram-verify", "--n", "1", "--k", "70", "--memory", "0,1")
+    assert time.perf_counter() - start < 0.5
     assert rc == 2 and out == ""
-    assert err.startswith("error: full-state verification capped at 20")
+    assert err.startswith("error: refusing exact check: 73 wires x 2**71 basis inputs")
     assert len(err.splitlines()) == 1
+
+
+def test_qram_verify_past_twenty_wires(capsys):
+    # n=6, k=4 is 140 wires, 1,024 inputs
+    memory = ",".join(str(i % 16) for i in range(64))
+    rc, out, err = run(
+        capsys, "qram-verify", "--n", "6", "--k", "4", "--memory", memory,
+        "--extensions", "--pipeline",
+    )
+    assert rc == 0 and out == "max deviation: 0.000000e+00\n"
+    assert err == "qram circuit verified\n"
+
+
+def test_qram_build_refuses_an_unwritable_out_before_building(capsys, tmp_path):
+    # n=13 builds for seconds; the missing directory is found first
+    memory = ",".join(["0"] * 2**13)
+    out_file = tmp_path / "nonexistent" / "q.json"
+    start = time.perf_counter()
+    rc, out, err = run(
+        capsys, "qram-build", "--n", "13", "--k", "2", "--memory", memory, "--out", str(out_file)
+    )
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == "" and not out_file.exists()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # a refused command leaves an existing --out as it was
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"kept\n")
+    argv = ["--n", "15", "--k", "1", "--memory", ",".join(["0"] * 2**15), "--out", str(kept)]
+    rc, out, _ = run(capsys, "qram-build", *argv)
+    assert rc == 2 and out == "" and kept.read_bytes() == b"kept\n"
 
 
 def test_qram_build_refuses_a_tree_its_reader_would_refuse(capsys, tmp_path):
@@ -357,15 +390,44 @@ def test_compiled_cli_circuit_verifies_in_process(capsys, tmp_path, path_file):
     assert verify_equivalence(path, circuit) <= 1e-12
 
 
-def test_verify_over_the_unitary_cap_is_usage_error(capsys, tmp_path):
+def test_verify_over_the_bit_matrix_bound_is_usage_error(capsys, tmp_path):
     path = tmp_path / "p40.json"
     path.write_text(json.dumps({"n": 40, "path": [[0, 1]]}))
     circ = tmp_path / "c40.json"
     circ.write_text(json.dumps({"n": 40, "gates": [{"kind": "iscz", "wires": [0, 1]}]}))
+    start = time.perf_counter()
     rc, out, err = run(capsys, "verify", "--path", str(path), "--circuit", str(circ))
-    assert rc == 2
-    assert err.startswith("error: refusing unitary on 40 wires")
-    assert "Traceback" not in err and out == ""
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err.startswith("error: refusing exact check: 40 wires x 2**40 basis inputs")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ([{"kind": "fsim", "wires": [0, 1], "params": [0.3, 0.2]}], "gate 5 (fsim(0.3, 0.2) 0 1)"),
+        ([{"kind": "xyevol", "wires": [1, 2], "params": [0.7]}], "gate 5 (xyevol(0.7) 1 2)"),
+        ([{"kind": "zzevol", "wires": [2, 0], "params": [0.4]}], "gate 5 (zzevol(0.4) 2 0)"),
+        ([{"kind": "syc", "wires": [0, 2]}], "gate 5 (syc 0 2)"),
+        ([{"kind": "h", "wires": [1]}], "gate 5 (h 1)"),
+        ([{"kind": "h", "wires": [0]}, {"kind": "cz", "wires": [1, 2]},
+          {"kind": "h", "wires": [0]}], "gate 5 (h 0)"),
+    ],
+    ids=["fsim", "xyevol", "zzevol", "syc", "lone-h", "h-pair-off-wire"],
+)
+def test_verify_refuses_a_circuit_outside_the_engine(capsys, tmp_path, path_file, extra, named):
+    # the compiled circuit of the 3-wire path (two iSCZs, three phase gates),
+    # then gates no SWAP network emits
+    doc = circuit_to_dict(compile_iscz(SwapPath(3, ((0, 1), (1, 2)))).circuit)
+    assert len(doc["gates"]) == 5
+    doc["gates"] += extra
+    circ = tmp_path / "odd.json"
+    circ.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "--path", path_file, "--circuit", str(circ))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: not a SWAP-network circuit: {named} ")
+    assert len(err.splitlines()) == 1
 
 
 # schema -> (reader, argv reading the document from DOC next to a valid 2-wire path)
@@ -389,6 +451,7 @@ SCHEMAS = {
     ("circuit", '{"n": 2, "gates": [{"kind": "fsim", "wires": [0, 1], "params": [1e400, 0]}]}',
      "gates[0].params[0]"),
     ("circuit", '{"n": 2, "known_zero": [0.0]}', "known_zero[0]"),
+    ("circuit", '{"n": 2, "known_zero": [0, 0]}', "known_zero"),
     ("coupling", '{"n": 2, "edges": {"01": 1}}', "edges"),
     ("coupling", '{"n": 2, "edges": ["01"]}', "edges[0]"),
     ("coupling", '{"n": 2, "edges": [[0, 1, 1]]}', "edges[0]"),
@@ -418,17 +481,46 @@ def test_lenient_fields_are_refused(capsys, tmp_path, schema, text, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "schema, text, message",
+    [
+        ("path", '{"n": 0, "path": []}', "bad swap path document: swap path"),
+        ("coupling", '{"n": 0, "edges": []}', "bad coupling document: coupling map"),
+    ],
+)
+def test_documents_without_wires_are_refused(capsys, tmp_path, schema, text, message):
+    reader, argv = SCHEMAS[schema]
+    message += " needs at least one wire, got n=0"
+    with pytest.raises(CircuitFormatError, match=f"^{message}$"):
+        reader(json.loads(text))
+    doc, path = tmp_path / "doc.json", tmp_path / "path.json"
+    doc.write_text(text)
+    path.write_text('{"n": 2, "path": [[0, 1]]}')
+    files = {"DOC": str(doc), "PATH": str(path)}
+    rc, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert rc == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_repeated_known_zero_wire_is_refused(capsys, path_file):
+    argv = ["compile", "--path", path_file, "--mode", "ext1", "--known-zero", "0,0"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: --known-zero 0,0 repeats a wire\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "x"])
 def test_bad_tolerance_is_usage_error_before_simulating(capsys, monkeypatch, path_file, tol):
+    # verify has no --tol (its verdict passes only at exactly 0.0), so any
+    # value is an argparse usage error, before anything is checked
     def refuse(*args, **kwargs):
-        raise AssertionError("simulated despite a bad --tol")
+        raise AssertionError("checked despite --tol")
 
     monkeypatch.setattr("swapnet.cli.verify_equivalence", refuse)
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--path", path_file, "--circuit", path_file, "--tol", tol])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "--tol" in err and "Traceback" not in err
+    assert "unrecognized arguments: --tol" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -453,7 +545,7 @@ FLAGS = {
     "qram-count": ["--json", "--k", "--n"],
     "qram-verify": ["--extensions", "--k", "--memory", "--n", "--pipeline", "--spec"],
     "schedule": ["--k", "--n"],
-    "verify": ["--circuit", "--path", "--tol"],
+    "verify": ["--circuit", "--path"],
 }
 
 
@@ -471,6 +563,12 @@ def test_flag_inventory():
 
 BAD_VALUES = ["01", 2.7, True, None, -1, [], {}, [[0]], [1.5], float("inf"), 10**400]
 OVERSIZED = [13, 40, 2**31]
+ANY_EXIT = (0, 1, 2)
+# gates no SWAP network emits: verify must refuse them, exit 2
+OUTSIDE_THE_ENGINE = [
+    {"kind": "fsim", "wires": [0, 1], "params": [0.3, 0.2]},
+    {"kind": "h", "wires": [1]},
+]
 
 
 @st.composite
@@ -510,25 +608,26 @@ def compile_argv(draw):
     mode = draw(st.sampled_from(["iscz", "cnot", "ext1", "ext2"]))
     argv += ["--mode", mode]
     if mode == "ext1":
-        argv += ["--known-zero", draw(st.sampled_from(["0", "0,1", "", "x", "99", "-1"]))]
+        argv += ["--known-zero", draw(st.sampled_from(["0", "0,1", "0,0", "", "x", "99", "-1"]))]
     if mode == "ext2":
         argv += ["--policy", draw(st.sampled_from(["earliest", "latest"]))]
     if mode == "ext2" and draw(st.booleans()):
         line = {"n": path.n_wires, "edges": [[i, i + 1] for i in range(path.n_wires - 1)]}
         files["map.json"] = draw(mutated(line))
         argv += ["--coupling", "map.json"]
-    return argv, files
+    return argv, files, ANY_EXIT
 
 
 @st.composite
 def verify_argv(draw):
     path = draw(swap_paths())
-    files = {
-        "path.json": draw(mutated(swap_path_to_dict(path))),
-        "circuit.json": draw(mutated(circuit_to_dict(compile_iscz(path).circuit))),
-    }
+    circuit = circuit_to_dict(compile_iscz(path).circuit)
+    files = {"path.json": draw(mutated(swap_path_to_dict(path)))}
     argv = ["verify", "--path", "path.json", "--circuit", "circuit.json"]
-    return argv + ["--tol", draw(st.sampled_from(["1e-10", "0", "2", "nan", "-1"]))], files
+    if draw(st.booleans()):  # an intact circuit with an odd gate appended
+        circuit["gates"].append(draw(st.sampled_from(OUTSIDE_THE_ENGINE)))
+        return argv, {**files, "circuit.json": circuit}, (2,)
+    return argv, {**files, "circuit.json": draw(mutated(circuit))}, ANY_EXIT
 
 
 @st.composite
@@ -546,7 +645,7 @@ def qram_argv(draw):
         argv = [command, "--n", str(n), "--k", str(k),
                 "--memory", draw(st.sampled_from([",".join(map(str, memory)), "1.5,0", "x", ""]))]
         argv += ["--extensions"] * spec["extensions"] + ["--pipeline"] * spec["pipeline"]
-    return argv, files
+    return argv, files, ANY_EXIT
 
 
 @st.composite
@@ -555,15 +654,15 @@ def other_argv(draw):
     if command == "bench":
         sizes = draw(st.sampled_from(["3", "2,3", "2..3", "13", "40", str(2**31), "x", "", "3..2"]))
         p = draw(st.sampled_from(["0.02", "0", "nan", "-1", "2"]))
-        return ["bench", "--sizes", sizes, "--trials", "1", "--p", p], {}
+        return ["bench", "--sizes", sizes, "--trials", "1", "--p", p], {}, ANY_EXIT
     if command == "matrix":
         gate = draw(st.sampled_from(["iscz", "fsim", "xyevol", "h", "nosuch"]))
         params = draw(st.sampled_from(["", "0", "0,0", "nan", "1e400", "x"]))
         json_flag = ["--json"] * draw(st.booleans())
-        return ["matrix", "--gate", gate, "--params", params] + json_flag, {}
+        return ["matrix", "--gate", gate, "--params", params] + json_flag, {}, ANY_EXIT
     # n = 13 fits under the wire limit of the tree layout; 40 is refused by it
     small = st.sampled_from(["0", "1", "2", "3", "13", "40", "-1", "x"])
-    return [command, "--n", draw(small), "--k", draw(small)], {}
+    return [command, "--n", draw(small), "--k", draw(small)], {}, ANY_EXIT
 
 
 @pytest.mark.parametrize("argv_strategy", [compile_argv, verify_argv, qram_argv, other_argv])
@@ -571,9 +670,10 @@ def other_argv(draw):
 @given(data=st.data())
 def test_fuzz_exit_codes(tmp_path_factory, argv_strategy, data):
     """Well-formed documents (n <= 6), field-level mutations and oversized n,
-    driven through main: the exit code is 0, 1 or 2, no exception escapes,
-    and 1 only follows a completed check."""
-    argv, files = data.draw(argv_strategy())
+    driven through main: the exit code is 0, 1 or 2 (only 2 for a circuit
+    with a gate outside the exact engine's set), no exception escapes, and 1
+    only follows a completed check."""
+    argv, files, exits = data.draw(argv_strategy())
     where = tmp_path_factory.getbasetemp() / "fuzz"
     where.mkdir(exist_ok=True)
     for name, doc in files.items():
@@ -585,7 +685,7 @@ def test_fuzz_exit_codes(tmp_path_factory, argv_strategy, data):
             rc = main(argv)
         except SystemExit as e:  # argparse usage errors
             rc = e.code
-    assert rc in (0, 1, 2), argv
+    assert rc in exits, argv
     assert "Traceback" not in err.getvalue()
     if rc == 1:
         assert "max deviation:" in out.getvalue()

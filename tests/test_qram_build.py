@@ -3,8 +3,12 @@
 Verification is exhaustive over all basis inputs (a, z); the expected action
 |a>|z> -> |a>|z xor memory[a]> with ancillae returned to |0> and zero
 residual phase is checked exactly by the phase-permutation engine, and the
-dense statevector per input is its oracle at small sizes.
+dense statevector per input is its oracle at small sizes.  The engine's one
+size bound is 2**24 bit-matrix entries (wires x 2**(n+k)), so trees far
+past 20 wires verify, and a circuit with a gate outside its set is refused.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +24,7 @@ from swapnet.circuit import Circuit, CircuitFormatError, Gate, load_json, metric
 from swapnet.qram.counts import count_gates
 from swapnet.qram.layout import TreeLayout
 from swapnet.sim import PureState, apply_circuit
-from swapnet.qram.verify import (
-    FULL_STATE_WIRE_CAP,
-    verify_circuit_matches,
-    verify_qram,
-)
+from swapnet.qram.verify import verify_circuit_matches, verify_qram
 
 TOL = 1e-9
 SMALL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -265,35 +265,64 @@ def test_exact_engine_matches_dense_statevectors(n, k, extensions, pipeline):
         assert abs(verify_circuit_matches(spec, circuit) - dense_deviation(spec, circuit)) <= 1e-12
 
 
-def test_non_monomial_circuits_fall_back_to_statevectors():
+def test_non_monomial_circuits_are_refused():
     spec = QramSpec(2, 1, (1, 0, 0, 1), extensions=True)
     circuit = build_qram_circuit(spec).circuit
     lay = TreeLayout(2, 1)
     tree = lay.node_addr(1, 1), lay.node_data(1, 1)
+    # fsim fixes |00> on the restored tree wires, but it is still no SWAP-network gate
     for extra in (Gate(gates.fsim(0.4, 0.9), tree), Gate(gates.H, (tree[0],))):
-        odd = circuit.extended([extra])
-        assert verify_circuit_matches(spec, odd) == dense_deviation(spec, odd)
-    # fsim fixes |00> on the restored tree wires; h does not
-    assert verify_circuit_matches(spec, circuit.extended([Gate(gates.fsim(0.4, 0.9), tree)])) < TOL
-    assert verify_circuit_matches(spec, circuit.extended([Gate(gates.H, (tree[0],))])) > 0.5
+        named = rf"^not a SWAP-network circuit: gate {len(circuit)} \({extra.kind.name}"
+        with pytest.raises(ValueError, match=named):
+            verify_circuit_matches(spec, circuit.extended([extra]))
 
 
 @pytest.mark.parametrize("n,k,flag", [(1, 17, True), (2, 12, False)])
 def test_exhaustive_verification_at_the_cap(n, k, flag):
-    # the most basis inputs the full-state cap admits: 2**18 and 2**14
+    # the most basis inputs the old 20 bus+tree wire cap admitted: 2**18 and 2**14
     (memory,) = memories(n, k, 1, seed=n + k)
     spec = QramSpec(n, k, memory, extensions=flag, pipeline=flag)
-    assert n + k + TreeLayout(n, k).n_tree_wires == FULL_STATE_WIRE_CAP
+    assert n + k + TreeLayout(n, k).n_tree_wires == 20
     build = build_qram_circuit(spec)
     assert verify_qram(spec, build) == 0.0
     assert verify_qram(flip_one_bit(spec, seed=k), build) == 1.0
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("extensions,pipeline", FLAGS)
+def test_exhaustive_verification_past_twenty_wires(n, extensions, pipeline):
+    # 44, 76 and 140 wires: every 2**(n+4) input, exact
+    (memory,) = memories(n, 4, 1, seed=41 * n)
+    spec = QramSpec(n, 4, memory, extensions=extensions, pipeline=pipeline)
+    build = build_qram_circuit(spec)
+    assert verify_qram(spec, build) == 0.0
+    assert verify_qram(flip_one_bit(spec, seed=n), build) == 1.0
+
+
+def test_exhaustive_verification_of_a_seven_layer_tree():
+    # 272 wires x 2**13 inputs, about an eighth of the engine's bound
+    (memory,) = memories(7, 6, 1, seed=76)
+    spec = QramSpec(7, 6, memory, extensions=True, pipeline=True)
+    build = build_qram_circuit(spec)
+    assert build.circuit.n_wires == 272
+    assert verify_qram(spec, build) == 0.0
+    assert verify_qram(flip_one_bit(spec, seed=7), build) == 1.0
+
+
 def test_verification_cap_enforced():
-    spec = QramSpec(4, 4, (0,) * 16)
-    with pytest.raises(ValueError):
-        verify_qram(spec)
-    assert FULL_STATE_WIRE_CAP == 20
+    # 22 wires x 2**20 inputs is just over the 2**24-entry bound: refused
+    # before the circuit or any input exists
+    spec = QramSpec(1, 19, (0, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^refusing exact check: 22 wires x 2\*\*20 "):
+            verify_qram(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    with pytest.raises(ValueError, match="refusing exact check"):
+        verify_circuit_matches(spec, Circuit(22))
 
 
 def test_verify_circuit_matches_detects_wrong_circuit():

@@ -22,6 +22,7 @@ from swapnet.sim import (
     apply_circuit,
     basis_bits,
     basis_deviation,
+    check_basis_cap,
     circuit_unitary,
     depolarize_pair,
     fidelity,
@@ -195,17 +196,26 @@ def test_propagated_phases_are_powers_of_i_mod_4():
 
 def test_basis_deviation_is_exact():
     expected = basis_bits(np.arange(4), 2)
-    hh = [Gate(gates.H, (0,))] * 2  # no h G h triple: the dense fallback, up to rounding
     for power, dev in enumerate([0.0, np.sqrt(2), 2.0, np.sqrt(2)]):
         c = Circuit(2, (Gate(gates.S, (1,)),) * power)  # i**power on columns 01 and 11
         assert basis_deviation(c, expected, expected) == dev == abs(1j**power - 1)
-        assert abs(basis_deviation(c.extended(hh), expected, expected) - dev) <= TOL
     swapped = Circuit(2, (Gate(gates.SWAP, (0, 1)),))  # 01 and 10 land elsewhere
     assert basis_deviation(swapped, expected, expected) == 1.0
     minus = swapped.extended([Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
     assert basis_deviation(minus, expected, expected) == 2.0
-    for c, dev in ((swapped, 1.0), (minus, 2.0)):
-        assert abs(basis_deviation(c.extended(hh), expected, expected) - dev) <= TOL
+    # an h pair around no gate is no h G h triple: refused, not simulated
+    hh = [Gate(gates.H, (0,))] * 2
+    with pytest.raises(ValueError, match=r"^not a SWAP-network circuit: gate 2 \(h 0\)"):
+        basis_deviation(minus.extended(hh), expected, expected)
+
+
+def test_bit_matrix_bound_is_two_to_the_24_entries():
+    check_basis_cap(16, 2**20)  # exactly 2**24 entries, 16 MiB
+    check_basis_cap(1, 2**24)
+    for wires, inputs in ((17, 2**20), (1, 2**25), (73, 2**71), (65536, 2**65536)):
+        size = rf"{wires} wires x 2\*\*{inputs.bit_length() - 1} basis inputs"
+        with pytest.raises(ValueError, match=rf"^refusing exact check: {size} is over 2\*\*24 "):
+            check_basis_cap(wires, inputs)
 
 
 def test_wire_zero_is_most_significant_bit():
