@@ -260,6 +260,8 @@ def coupling_from_dict(data: Any) -> CouplingMap:
         raise CircuitFormatError("coupling document must be a JSON object")
     n = as_int(data.get("n"), "n", limit=MAX_WIRES)
     edges = as_list(data.get("edges", []), "edges", as_pair)
+    if len({frozenset(e) for e in edges}) < len(edges):
+        raise _refuse("edges", "distinct undirected edges", data["edges"])
     try:
         return CouplingMap(n, frozenset(edges))
     except ValueError as e:

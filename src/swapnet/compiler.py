@@ -31,7 +31,7 @@ from . import gates
 from .circuit import (
     MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, phase_gates
 )
-from .sim import basis_bits, basis_deviation, check_basis_cap, check_unitary_cap
+from .sim import basis_bits, basis_deviation, basis_steps, check_basis_cap, check_unitary_cap
 
 
 class UnschedulableCZError(RuntimeError):
@@ -327,8 +327,8 @@ def verify_equivalence(
     """Max elementwise deviation between the compiled circuit's unitary and the
     reference permutation, over basis columns whose constraint wires are 0,
     exactly, global phase included.  The kept columns span the free wires;
-    n x 2**len(free) is bounded by sim.check_basis_cap before they exist.
-    sim.basis_deviation refuses a circuit outside the SWAP-network gates."""
+    n x 2**len(free) is bounded by sim.check_basis_cap, and a gate outside
+    the SWAP-network set refused by sim.basis_steps, before they exist."""
     if circuit.n_wires != path.n_wires:
         raise ValueError(f"circuit has {circuit.n_wires} wires, path {path.n_wires}")
     n = path.n_wires
@@ -336,7 +336,8 @@ def verify_equivalence(
         raise ValueError(f"constraint wires {sorted(constraints)} not all in 0..{n - 1}")
     free = [w for w in range(n) if w not in constraints]
     check_basis_cap(n, 2 ** len(free))
+    steps = basis_steps(circuit)
     inputs = np.zeros((n, 2 ** len(free)), dtype=np.uint8)
     inputs[free] = basis_bits(np.arange(2 ** len(free)), len(free))
     # wire w ends up holding the value that started on wire value_at()[w]
-    return basis_deviation(circuit, inputs, inputs[path.value_at()])
+    return basis_deviation(steps, inputs, inputs[path.value_at()])

@@ -55,7 +55,7 @@ ARITY: dict[str, int] = {
     "i": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdag": 1, "h": 1,
     "cz": 2, "cnot": 2, "swap": 2, "iswap": 2, "iscz": 2,
     "fsim": 2, "xyevol": 2, "zzevol": 2, "syc": 2,
-    "cswap": 3, "ciswap": 3, "ciscz": 3, "ccz": 3,
+    "cswap": 3, "ciswap": 3, "ciscz": 3, "ccz": 3, "ccx": 3,
 }
 
 N_PARAMS: dict[str, int] = {name: 0 for name in ARITY}
@@ -79,6 +79,7 @@ CSWAP = GateKind("cswap")
 CISWAP = GateKind("ciswap")
 CISCZ = GateKind("ciscz")
 CCZ = GateKind("ccz")
+CCX = GateKind("ccx")  # Toffoli; the target is the last operand
 
 
 def fsim(theta: float, phi: float) -> GateKind:
@@ -126,6 +127,7 @@ def _fixed_matrices() -> dict[str, np.ndarray]:
     for name in ("swap", "iswap", "iscz"):
         m["c" + name] = controlled(m[name])
     m["ccz"] = np.diag([1.0] * 7 + [-1.0]).astype(complex)
+    m["ccx"] = controlled(controlled(m["x"]))
     return m
 
 

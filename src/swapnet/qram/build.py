@@ -21,8 +21,8 @@ memory-dependent part by diagonal parity gates at the leaves right before the
 affected word's copy, using per-word parity cells precomputed from the memory.
 
 Gate-family tallies are recorded by construction role as the builder emits,
-never by scanning gate kinds, so decompositions (e.g. CCZs inside
-multi-controlled X) cannot leak into protocol-level counts.
+never by scanning gate kinds, so decompositions (e.g. the ccx Toffolis
+inside a multi-controlled X) cannot leak into protocol-level counts.
 """
 
 from __future__ import annotations
@@ -300,23 +300,18 @@ class _Builder:
         if len(ws) == 1:
             self.emit(gates.CNOT, ws[0], target)
         elif len(ws) == 2:
-            self._ccx(ws[0], ws[1], target)
+            self.emit(gates.CCX, ws[0], ws[1], target)
         else:
             s = [self.lay.scratch(i) for i in range(len(ws) - 2)]
-            self._ccx(ws[0], ws[1], s[0])
+            self.emit(gates.CCX, ws[0], ws[1], s[0])
             for idx in range(2, len(ws) - 1):
-                self._ccx(s[idx - 2], ws[idx], s[idx - 1])
-            self._ccx(s[-1], ws[-1], target)
+                self.emit(gates.CCX, s[idx - 2], ws[idx], s[idx - 1])
+            self.emit(gates.CCX, s[-1], ws[-1], target)
             for idx in range(len(ws) - 2, 1, -1):
-                self._ccx(s[idx - 2], ws[idx], s[idx - 1])
-            self._ccx(ws[0], ws[1], s[0])
+                self.emit(gates.CCX, s[idx - 2], ws[idx], s[idx - 1])
+            self.emit(gates.CCX, ws[0], ws[1], s[0])
         for w in negated:
             self.emit(gates.X, w)
-
-    def _ccx(self, a: int, b: int, target: int) -> None:
-        self.emit(gates.H, target)
-        self.emit(gates.CCZ, a, b, target)
-        self.emit(gates.H, target)
 
     # -- phase corrections --------------------------------------------------
 

@@ -7,15 +7,15 @@ inputs on the bus wires (never a sample), the worst elementwise deviation of
 the circuit's output from the expected basis vector, which catches wrong
 values, unrestored ancillas, and phase errors alike.
 
-Every gate the builder emits is a permutation with power-of-i phases, except
-the h pair around each CCZ of a Toffoli, and h.CCZ.h is again such a gate.
-So all inputs are pushed through the circuit at once as a bit matrix plus an
-integer phase power mod 4 (sim.propagate_basis), and the deviation is exact:
-0, sqrt 2 or 2 for a right output with phase 1, +-i or -1, and 1 for a wrong
-one.  A circuit with any other gate, such as one read from a file, is refused
-with a ValueError.  The one size bound is the engine's: checked_layout refuses
-a layout whose (wires x 2**(n+k)) bit matrix is over sim.BASIS_ENTRY_CAP
-entries, before anything is built.
+Every gate the builder emits, the ccx Toffoli included, is a permutation with
+power-of-i phases.  So all inputs are pushed through the circuit at once as a
+bit matrix plus an integer phase power mod 4 (sim.propagate_basis), and the
+deviation is exact: 0, sqrt 2 or 2 for a right output with phase 1, +-i or
+-1, and 1 for a wrong one.  A circuit with any other gate, such as one read
+from a file, is refused with a ValueError before any input is built.  The
+one size bound is the engine's: checked_layout refuses a layout whose
+(wires x 2**(n+k)) bit matrix is over sim.BASIS_ENTRY_CAP entries, before
+anything is built.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuit import Circuit
-from ..sim import basis_bits, basis_deviation, check_basis_cap
+from ..sim import basis_bits, basis_deviation, basis_steps, check_basis_cap
 from .build import QramBuild, QramSpec, build_qram_circuit
 from .layout import TreeLayout
 
@@ -44,6 +44,7 @@ def verify_circuit_matches(spec: QramSpec, circuit: Circuit) -> float:
         raise ValueError(
             f"circuit has {circuit.n_wires} wires, layout needs {lay.n_wires}"
         )
+    steps = basis_steps(circuit)
     n, k = spec.n, spec.k
     words = np.arange(2 ** (n + k), dtype=np.int64)  # word (a << k) | z
     memory = np.array(spec.memory, dtype=np.int64)
@@ -51,7 +52,7 @@ def verify_circuit_matches(spec: QramSpec, circuit: Circuit) -> float:
     expected = np.zeros_like(bits)  # tree and scratch wires start and end at 0
     bits[: n + k] = basis_bits(words, n + k)
     expected[: n + k] = basis_bits(words ^ memory[words >> k], n + k)
-    return basis_deviation(circuit, bits, expected)
+    return basis_deviation(steps, bits, expected)
 
 
 def checked_layout(spec: QramSpec) -> TreeLayout:

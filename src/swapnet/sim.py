@@ -3,16 +3,20 @@
 Basis convention matches gates.py: wire 0 is the most significant bit of the
 basis index, so a state over n wires reshaped to [2]*n has axis w == wire w.
 
+A gate is monomial, or it is refused by name.  Monomial kinds are those whose
+matrix has one nonzero entry per row, each in {1, -1, i, -i}: every fixed
+kind except h (x, y, z, s, sdag, cz, cnot, swap, iswap, iscz, cswap, ciswap,
+ciscz, ccz, ccx, and the identity), so every gate a SWAP-network compiler or
+the QRAM builder emits.  Any other gate (h, fsim, xyevol, zzevol, syc) is
+refused by every entry point with one ValueError, "not a SWAP-network
+circuit: gate ... is not monomial", which `_table` alone raises.
+
 Every gate application goes through one kernel, `_apply_kind`, on the [2]*N
 view of a statevector, a density matrix (ket axes, then bra axes with the
-conjugate gate) or a unitary under construction.  Monomial kinds, those whose
-matrix has one nonzero entry per row, each in {1, -1, i, -i} (every
-fixed kind except h: x, y, z, s, sdag, cz, cnot, swap, iswap, iscz, cswap,
-ciswap, ciscz, ccz, and the identity), are applied in place by moving whole
-slices along the cycles of their permutation and multiplying by the phase;
-those multiplies are exact, and diagonal kinds touch only their non-unit
-slices.  The other kinds (h, fsim, xyevol, zzevol, syc) fall back to
-`tensordot` with the gate matrix.  Depolarizing noise also works in place on
+conjugate phases) or a unitary under construction.  It works in place,
+moving whole slices along the cycles of the gate's permutation and
+multiplying by the phase; those multiplies are exact, and diagonal kinds
+touch only their non-unit slices.  Depolarizing noise also works in place on
 the [2]*2n view.
 
 Density matrices cost 4^n; construction is capped at a fixed n <= 10
@@ -25,15 +29,13 @@ Verification needs no amplitudes at all.  A monomial gate sends a basis
 state to one basis state times a power of i, so `propagate_basis` pushes a
 batch of basis inputs through a circuit as a (wires x inputs) uint8 bit
 matrix plus an integer phase power mod 4 per input.  One cached table per
-monomial kind, `_monomial`, serves both engines: the cycles the in-place
-kernel moves slices along, and the (input index -> output index, phase power)
-map this engine reads.  An h G h triple on one wire of G is one step when the
-conjugated matrix is monomial, which the H.CCZ.H Toffoli of the QRAM builder
-is.  Those are every gate a SWAP-network compiler or the QRAM builder emits;
-any other (fsim, xyevol, zzevol, syc, a lone h) is refused with a ValueError
-that names it.  `basis_deviation` turns the result into the dense max |U - P|
-exactly: 0, sqrt 2 or 2 for a column that lands on its expected index with
-phase 1, +-i or -1, and 1 for one that lands elsewhere.  Its one size bound,
+kind, `_monomial`, serves both engines: the cycles the in-place kernel moves
+slices along, and the (input index -> output index, phase power) map this
+engine reads.  `basis_steps` looks them up for a circuit, so a verifier
+refuses a gate outside the set before it builds any input.
+`basis_deviation` turns the result into the dense max |U - P| exactly: 0,
+sqrt 2 or 2 for a column that lands on its expected index with phase 1, +-i
+or -1, and 1 for one that lands elsewhere.  Its one size bound,
 `check_basis_cap`, refuses a bit matrix over BASIS_ENTRY_CAP entries before
 the inputs exist.  `circuit_unitary` stays as the test oracle.  `fidelity`
 compares a pure state with a pure or a mixed one.
@@ -46,11 +48,11 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .gates import H, GateKind, gate_matrix
+from .gates import GateKind, gate_matrix
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
-BASIS_ENTRY_CAP = 1 << 24  # 16 MiB per uint8 bit matrix; the engine holds about four
+BASIS_ENTRY_CAP = 1 << 24  # 16 MiB per uint8 bit matrix; QRAM (2, 17) at 12.5 MiB peaks at 60.5 MiB
 
 
 class PureState:
@@ -81,8 +83,7 @@ class PureState:
         return PureState(self.n, self.vec)
 
     def apply_gate(self, gate: Gate) -> None:
-        t = _apply_kind(self.vec.reshape([2] * self.n), gate.kind, gate.wires)
-        self.vec = t.reshape(-1)
+        _apply_kind(self.vec.reshape([2] * self.n), _table(gate)[0], gate.wires)
 
     def to_density(self) -> "MixedState":
         check_density_cap(self.n)  # before the 4**n outer product
@@ -105,20 +106,17 @@ class MixedState:
         return MixedState(self.n, self.rho)
 
     def apply_gate(self, gate: Gate) -> None:
-        n = self.n
+        n, cycles = self.n, _table(gate)[0]
         t = self.rho.reshape([2] * (2 * n))
-        t = _apply_kind(t, gate.kind, gate.wires)  # U rho
-        bra = tuple(n + w for w in gate.wires)
-        t = _apply_kind(t, gate.kind, bra, conj=True)  # ... U^dag
-        self.rho = t.reshape(2**n, 2**n)
+        _apply_kind(t, cycles, gate.wires)  # U rho
+        _apply_kind(t, cycles, tuple(n + w for w in gate.wires), conj=True)  # ... U^dag
 
 
 _PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
-_H_INT = np.array([[1, 1], [1, -1]])  # sqrt(2) h, exact in integers
 
 
 @lru_cache(maxsize=256)
-def _monomial(kind: GateKind, h_operand: int | None = None) -> tuple | None:
+def _monomial(kind: GateKind) -> tuple | None:
     """The one table of a monomial kind, read by both engines.
 
     Column j of the matrix is i**power[j] times the basis vector dest[j].
@@ -128,16 +126,10 @@ def _monomial(kind: GateKind, h_operand: int | None = None) -> tuple | None:
       i2 = src(i1), ... and wraps round; fixed points with phase 1 are left out;
     - moves, for propagate_basis: each operand position whose bit can change,
       paired with that bit of dest, per j; power is None when every phase is 1.
-    With h_operand the gate is first conjugated by h on that operand (h G h,
-    as in the H.CCZ.H Toffoli), formed with the integer matrix [[1, 1],
-    [1, -1]] and halved, so exactly.  None when the matrix is not monomial
-    with every nonzero entry in _PHASES.
+    None when the matrix is not monomial with every nonzero entry in _PHASES.
     """
     u = gate_matrix(kind)
     a = kind.arity
-    if h_operand is not None:
-        h = np.kron(np.kron(np.eye(2**h_operand), _H_INT), np.eye(2 ** (a - 1 - h_operand)))
-        u = h @ u @ h / 2
     nonzero = u != 0
     if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
         return None
@@ -165,6 +157,17 @@ def _monomial(kind: GateKind, h_operand: int | None = None) -> tuple | None:
     return tuple(cycles), (tuple(moves), (power if power.any() else None))
 
 
+def _table(gate: Gate, index: int | None = None) -> tuple:
+    """The _monomial table of the gate's kind.  A gate outside the monomial set
+    is refused here and only here, named with its index in the circuit when
+    one is given."""
+    table = _monomial(gate.kind)
+    if table is None:
+        at = "" if index is None else f"{index} "
+        raise ValueError(f"not a SWAP-network circuit: gate {at}({gate}) is not monomial")
+    return table
+
+
 def _scaled_copy(src: np.ndarray, phase: complex, dst: np.ndarray) -> None:
     if phase == 1:
         np.copyto(dst, src)
@@ -183,23 +186,12 @@ def _part(t: np.ndarray, axes: tuple[int, ...], i: int) -> np.ndarray:
     return t[(*index, ...)]
 
 
-def _apply_kind(
-    t: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: bool = False
-) -> np.ndarray:
-    """Apply the gate (or its elementwise conjugate) to `axes` of the tensor t.
-
-    Monomial kinds update t in place and return it; the others return a new
-    tensor.  Axes beyond the gate's are untouched, so t may carry any trailing
-    shape (circuit_unitary keeps one axis of 2**n columns).
-    """
-    table = _monomial(kind)
-    if table is None:
-        u = gate_matrix(kind)
-        w = len(axes)
-        g = (u.conj() if conj else u).reshape([2] * (2 * w))
-        out = np.tensordot(g, t, axes=(list(range(w, 2 * w)), list(axes)))
-        return np.moveaxis(out, list(range(w)), list(axes))
-    for cycle in table[0]:
+def _apply_kind(t: np.ndarray, cycles: tuple, axes: tuple[int, ...], conj: bool = False) -> None:
+    """Apply the gate with these _monomial cycles (or its elementwise
+    conjugate) to `axes` of the tensor t, in place.  Axes beyond the gate's
+    are untouched, so t may carry any trailing shape (circuit_unitary keeps
+    one axis of 2**n columns)."""
+    for cycle in cycles:
         parts = [_part(t, axes, i) for i, _ in cycle]
         phases = [ph.conjugate() if conj else ph for _, ph in cycle]
         if len(cycle) == 1:
@@ -209,7 +201,6 @@ def _apply_kind(
         for k in range(len(cycle) - 1):
             _scaled_copy(parts[k + 1], phases[k], parts[k])
         _scaled_copy(first, phases[-1], parts[-1])
-    return t
 
 
 def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
@@ -278,8 +269,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_wires
     check_unitary_cap(n)
     t = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
-    for g in circuit.gates:
-        t = _apply_kind(t, g.kind, g.wires)
+    for i, g in enumerate(circuit.gates):
+        _apply_kind(t, _table(g, i)[0], g.wires)
     return t.reshape(2**n, 2**n)
 
 
@@ -288,23 +279,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 _DEVIATION_BY_POWER = np.abs(np.array(_PHASES) - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
 
 
-def _basis_steps(gates: tuple[Gate, ...]) -> list[tuple[tuple[int, ...], tuple]]:
-    """Each gate's (wires, basis map), an h G h triple on one wire of G taken
-    as one step; a ValueError names the first gate that is neither."""
-    steps = []
-    i = 0
-    while i < len(gates):
-        g, width = gates[i], 1
-        table = _monomial(g.kind)
-        if table is None and g.kind == H and gates[i + 2 : i + 3] == (g,):
-            mid, width = gates[i + 1], 3
-            if g.wires[0] in mid.wires:
-                g, table = mid, _monomial(mid.kind, mid.wires.index(g.wires[0]))
-        if table is None:
-            raise ValueError(f"not a SWAP-network circuit: gate {i} ({gates[i]}) is not monomial")
-        steps.append((g.wires, table[1]))
-        i += width
-    return steps
+def basis_steps(circuit: Circuit) -> list[tuple[tuple[int, ...], tuple]]:
+    """Each gate's (wires, basis map), the form propagate_basis runs; refuses
+    the first gate outside the monomial set."""
+    return [(g.wires, _table(g, i)[1]) for i, g in enumerate(circuit.gates)]
 
 
 def check_basis_cap(wires: int, inputs: int) -> None:
@@ -315,20 +293,23 @@ def check_basis_cap(wires: int, inputs: int) -> None:
 
 
 def basis_bits(indices: np.ndarray, n: int) -> np.ndarray:
-    """The (n x len(indices)) uint8 bit matrix of basis indices over n
-    wires; row w holds wire w, the most significant bit first."""
-    shifts = np.arange(n - 1, -1, -1)
-    return ((np.asarray(indices)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+    """The (n x len(indices)) uint8 bit matrix of basis indices over n <= 32
+    wires; row w holds wire w, the most significant bit first.  The indices
+    are unpacked as big-endian 32-bit words, so no wider temporary exists."""
+    if n > 32:
+        raise ValueError(f"basis_bits takes at most 32 wires, got {n}")
+    words = np.asarray(indices).astype(">u4").view(np.uint8).reshape(-1, 4)
+    return np.ascontiguousarray(np.unpackbits(words, axis=1)[:, 32 - n :].T)
 
 
-def propagate_basis(circuit: Circuit, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Push basis inputs through a circuit exactly, without any amplitudes.
+def propagate_basis(steps: list, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Push basis inputs through a circuit's basis_steps exactly, without any
+    amplitudes.
 
     bits is a (wires x inputs) uint8 matrix: column c holds the bits of input
     c.  Returns the output bit matrix and, per input, the power k mod 4 of
     the phase i**k the circuit multiplies in.
     """
-    steps = _basis_steps(circuit.gates)  # refuses a gate outside the engine's set
     bits = np.array(bits, dtype=np.uint8)
     phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
     for wires, (moves, power) in steps:
@@ -343,12 +324,13 @@ def propagate_basis(circuit: Circuit, bits: np.ndarray) -> tuple[np.ndarray, np.
     return bits, phase & 3
 
 
-def basis_deviation(circuit: Circuit, inputs: np.ndarray, expected: np.ndarray) -> float:
-    """Max |U - P| over the columns of U named by the (wires x columns) bit
-    matrix inputs, P sending each to its column of expected with phase 1:
-    |i**k - 1| (0, sqrt 2 or 2) for a column that lands on its expected
-    index, 1 for one that lands elsewhere."""
-    bits, phase = propagate_basis(circuit, inputs)
+def basis_deviation(steps: list, inputs: np.ndarray, expected: np.ndarray) -> float:
+    """Max |U - P| over the columns of the circuit's U (given as its
+    basis_steps) named by the (wires x columns) bit matrix inputs, P sending
+    each to its column of expected with phase 1: |i**k - 1| (0, sqrt 2 or 2)
+    for a column that lands on its expected index, 1 for one that lands
+    elsewhere."""
+    bits, phase = propagate_basis(steps, inputs)
     hit = np.all(bits == expected, axis=0)
     worst = 0.0 if hit.all() else 1.0
     return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))

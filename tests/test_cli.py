@@ -413,8 +413,10 @@ def test_verify_over_the_bit_matrix_bound_is_usage_error(capsys, tmp_path):
         ([{"kind": "h", "wires": [1]}], "gate 5 (h 1)"),
         ([{"kind": "h", "wires": [0]}, {"kind": "cz", "wires": [1, 2]},
           {"kind": "h", "wires": [0]}], "gate 5 (h 0)"),
+        ([{"kind": "h", "wires": [2]}, {"kind": "ccz", "wires": [0, 1, 2]},
+          {"kind": "h", "wires": [2]}], "gate 5 (h 2)"),
     ],
-    ids=["fsim", "xyevol", "zzevol", "syc", "lone-h", "h-pair-off-wire"],
+    ids=["fsim", "xyevol", "zzevol", "syc", "lone-h", "h-pair-off-wire", "h-ccz-h"],
 )
 def test_verify_refuses_a_circuit_outside_the_engine(capsys, tmp_path, path_file, extra, named):
     # the compiled circuit of the 3-wire path (two iSCZs, three phase gates),
@@ -456,6 +458,7 @@ SCHEMAS = {
     ("coupling", '{"n": 2, "edges": ["01"]}', "edges[0]"),
     ("coupling", '{"n": 2, "edges": [[0, 1, 1]]}', "edges[0]"),
     ("coupling", '{"n": "2", "edges": [[0, 1]]}', "n"),
+    ("coupling", '{"n": 2, "edges": [[0, 1], [1, 0], [0, 1]]}', "edges"),
     ("path", '{"n": 2, "path": ["01"]}', "path[0]"),
     ("path", '{"n": 2, "path": [[0, 1.0]]}', "path[0][1]"),
     ("path", '{"n": 1e400, "path": [[0, 1]]}', "n"),

@@ -4,9 +4,10 @@ The reference oracle is pure bit arithmetic (reference_permutation_unitary);
 compiled circuits must match it exactly, including global phase, on the
 columns their preconditions allow.  verify_equivalence checks them with the
 exact phase-permutation engine and refuses a circuit with any gate outside
-its set; the dense unitary, circuit_unitary minus the reference on the kept
-columns, is its oracle here, up to 12 wires.  Past that the engine runs alone,
-up to its bound of 2**24 bit-matrix entries.
+its set (the monomial kinds, ccx among them) before it builds any input; the
+dense unitary, circuit_unitary minus the reference on the kept columns, is
+its oracle here, up to 12 wires.  Past that the engine runs alone, up to its
+bound of 2**24 bit-matrix entries.
 """
 
 import re
@@ -38,7 +39,7 @@ from swapnet.compiler import (
     verify_equivalence,
 )
 from swapnet.netbench import random_permutation, route_linear
-from swapnet.sim import basis_bits, circuit_unitary, propagate_basis
+from swapnet.sim import basis_bits, basis_steps, circuit_unitary, propagate_basis
 
 WORKED_PATH = SwapPath(5, ((0, 1), (2, 3), (1, 2), (3, 4)))
 
@@ -426,7 +427,7 @@ MONOMIAL_KINDS = [
     gates.GateKind(name) for name in gates.ARITY
     if name not in ("h", "fsim", "xyevol", "zzevol", "syc")
 ]
-SELF_INVERSE = {"i", "x", "y", "z", "cz", "cnot", "swap", "cswap", "ccz"}
+SELF_INVERSE = {"i", "x", "y", "z", "cz", "cnot", "swap", "cswap", "ccz", "ccx"}
 PHASES = np.array([1, 1j, -1, -1j])
 
 
@@ -444,21 +445,18 @@ def dense_deviation(path, circuit, constraints):
 
 
 @st.composite
-def monomial_block(draw, n):
-    """One monomial gate on random wires, or an h.ccz.h Toffoli."""
-    if draw(st.booleans()):
-        a, b, t = draw(st.permutations(range(n)))[:3]
-        return [Gate(gates.H, (t,)), Gate(gates.CCZ, (a, b, t)), Gate(gates.H, (t,))], True
-    kind = draw(st.sampled_from(MONOMIAL_KINDS))
+def monomial_gate(draw, n):
+    """One monomial gate on random wires, a ccx Toffoli as often as the rest together."""
+    kind = gates.CCX if draw(st.booleans()) else draw(st.sampled_from(MONOMIAL_KINDS))
     wires = tuple(draw(st.permutations(range(n)))[: kind.arity])
-    return [Gate(kind, wires)], kind.name in SELF_INVERSE
+    return Gate(kind, wires)
 
 
 @st.composite
 def monomial_cases(draw):
     """A path over 3..6 wires, constraint wires, and a monomial circuit: a
-    compiled one (equivalent on the kept columns), or none, with blocks
-    spliced in.  A block spliced in twice in a row cancels when it is its own
+    compiled one (equivalent on the kept columns), or none, with gates
+    spliced in.  A gate spliced in twice in a row cancels when it is its own
     inverse, so equivalent circuits with Toffolis in them occur too."""
     n = draw(st.integers(3, 6))
     pair = st.permutations(range(n)).map(lambda p: (p[0], p[1]))
@@ -475,19 +473,17 @@ def monomial_cases(draw):
         body = []
     if body and draw(st.booleans()):
         del body[draw(st.integers(0, len(body) - 1))]
-    blocks = [[g] for g in body]
     for _ in range(draw(st.integers(0, 3))):
-        block, involution = draw(monomial_block(n))
-        at = draw(st.integers(0, len(blocks)))
-        blocks[at:at] = [block] * (2 if involution and draw(st.booleans()) else 1)
-    return path, Circuit(n, tuple(g for block in blocks for g in block)), constraints
+        g = draw(monomial_gate(n))
+        at = draw(st.integers(0, len(body)))
+        body[at:at] = [g] * (2 if g.kind.name in SELF_INVERSE and draw(st.booleans()) else 1)
+    return path, Circuit(n, tuple(body)), constraints
 
 
 @given(monomial_cases())
 @example((
     SwapPath(3, ((0, 2),)),
-    Circuit(3, (Gate(gates.H, (1,)), Gate(gates.CCZ, (0, 2, 1)), Gate(gates.H, (1,)))
-            + compile_iscz(SwapPath(3, ((0, 2),))).circuit.gates),
+    Circuit(3, (Gate(gates.CCX, (0, 2, 1)),) + compile_iscz(SwapPath(3, ((0, 2),))).circuit.gates),
     frozenset({0}),
 ))
 @settings(max_examples=200, deadline=None)
@@ -495,7 +491,7 @@ def test_property_exact_engine_matches_the_dense_unitary(case):
     path, circuit, constraints = case
     n = path.n_wires
     cols = kept_columns(n, constraints)
-    bits, phase = propagate_basis(circuit, basis_bits(cols, n))
+    bits, phase = propagate_basis(basis_steps(circuit), basis_bits(cols, n))
     # each kept column of U is i**phase times the basis vector the engine names
     want = np.zeros((2**n, len(cols)), dtype=complex)
     rows = (1 << np.arange(n - 1, -1, -1)) @ bits.astype(np.int64)
@@ -512,27 +508,43 @@ def test_property_exact_engine_matches_the_dense_unitary(case):
         [Gate(gates.fsim(0.3, 0.2), (0, 1))],
         [Gate(gates.xyevol(0.7), (1, 2))],
         [Gate(gates.H, (2,))],
-        # an h pair around a gate that does not touch its wire, or whose
-        # conjugate is not monomial, is no Toffoli
+        # h pairs, around a gate off their wire or on it: the first h is named
         [Gate(gates.H, (4,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (4,))],
         [Gate(gates.H, (0,)), Gate(gates.ISWAP, (0, 1)), Gate(gates.H, (0,))],
         [Gate(gates.zzevol(0.4), (3, 2))],
         [Gate(gates.SYC, (2, 4))],
+        # the Toffoli as h, ccz, h is not one step: ccx is the Toffoli
+        [Gate(gates.H, (2,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (2,))],
     ],
-    ids=["fsim", "xyevol", "lone-h", "h-off-wire", "h-iswap-h", "zzevol", "syc"],
+    ids=["fsim", "xyevol", "lone-h", "h-off-wire", "h-iswap-h", "zzevol", "syc", "h-ccz-h"],
 )
 @pytest.mark.parametrize("constraints", [frozenset(), frozenset({1, 3})])
 def test_non_monomial_circuits_take_the_dense_path(extra, constraints):
-    """Only the dense test oracle takes such circuits; the verifier refuses
-    them, naming the first gate outside its set, and simulates nothing."""
+    """No path takes such circuits any more, the dense one included: the
+    verifier, the engine and the dense oracle (circuit_unitary) all refuse
+    them with one message naming the first gate outside the set."""
     circuit = compile_iscz(WORKED_PATH).circuit.extended(extra)
     first = len(circuit) - len(extra)
-    named = rf"^not a SWAP-network circuit: gate {first} \({re.escape(str(extra[0]))}\)"
-    with pytest.raises(ValueError, match=named):
-        propagate_basis(circuit, basis_bits(np.arange(32), 5))
+    named = rf"^not a SWAP-network circuit: gate {first} \({re.escape(str(extra[0]))}\) is not "
     with pytest.raises(ValueError, match=named):
         verify_equivalence(WORKED_PATH, circuit, constraints)
-    assert np.isfinite(dense_deviation(WORKED_PATH, circuit, constraints))
+    for refuse in (basis_steps, circuit_unitary):
+        with pytest.raises(ValueError, match=named):
+            refuse(circuit)
+
+
+def test_non_monomial_circuits_are_refused_before_any_input_exists():
+    # 19 wires x 2**19 inputs is under the engine's bound: building them took 99 MiB
+    path = route_linear(random_permutation(19, np.random.default_rng(19)))
+    circuit = compile_iscz(path).circuit.extended([Gate(gates.fsim(0.3, 0.2), (0, 1))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^not a SWAP-network circuit: gate \d+ \(fsim"):
+            verify_equivalence(path, circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_exact_deviations_are_exact():
@@ -542,8 +554,7 @@ def test_exact_deviations_are_exact():
     assert verify_equivalence(path, compile_iscz(path).circuit.extended(
         [Gate(gates.Z, (0,))])) == 2.0
     assert verify_equivalence(path, Circuit(2)) == 1.0
-    toffoli_twice = [Gate(gates.H, (2,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (2,))] * 2
     tpath = SwapPath(3, ((0, 1),))
-    circuit = compile_iscz(tpath).circuit.extended(toffoli_twice)
+    circuit = compile_iscz(tpath).circuit.extended([Gate(gates.CCX, (0, 1, 2))] * 2)
     assert verify_equivalence(tpath, circuit) == 0.0
-    assert 0.0 < dense_deviation(tpath, circuit, frozenset()) < 1e-12
+    assert dense_deviation(tpath, circuit, frozenset()) == 0.0  # ccx is exact on both sides

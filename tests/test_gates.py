@@ -39,7 +39,7 @@ def assert_close(a, b, tol=TOL):
 ALL_FIXED = [
     gates.I, gates.X, gates.Y, gates.Z, gates.S, gates.SDAG, gates.H,
     gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ, gates.SYC,
-    gates.CSWAP, gates.CISWAP, gates.CISCZ, gates.CCZ,
+    gates.CSWAP, gates.CISWAP, gates.CISCZ, gates.CCZ, gates.CCX,
 ]
 PARAMETRIC_SAMPLES = [
     fsim(0.0, 0.0), fsim(math.pi / 2, math.pi), fsim(0.3, 1.1),
@@ -114,6 +114,12 @@ def test_cz_basis_action():
             expect = np.zeros(4, dtype=complex)
             expect[2 * b1 + b2] = (-1) ** (b1 * b2)
             assert_close(col, expect)
+
+
+def test_ccx_is_ccz_conjugated_by_h_on_the_target_exactly():
+    h2 = np.kron(np.eye(4), [[1, 1], [1, -1]])  # sqrt(2) h on the last operand, in integers
+    assert np.array_equal(mat(gates.CCX), h2 @ mat(gates.CCZ) @ h2 / 2)
+    assert np.array_equal(mat(gates.CCX), np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]])
 
 
 def test_swap_and_cz_exact_entries():

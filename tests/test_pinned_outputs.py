@@ -3,6 +3,9 @@
 Each digest is the sha256 of the circuit JSON (``circuit_to_dict`` through
 ``json.dumps``) computed before the compiler and builder were refactored;
 any change to the gates emitted, their order or their wires changes it.
+The QRAM builds for n >= 2 were pinned again when each Toffoli became one
+ccx gate; their first pins, taken when it was h, ccz, h, still hold with
+every ccx expanded back into that form.
 """
 
 import hashlib
@@ -11,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from swapnet.circuit import CouplingMap, circuit_to_dict
+from swapnet import gates
+from swapnet.circuit import Circuit, CouplingMap, Gate, circuit_to_dict
 from swapnet.compiler import (
     compile_cnot_baseline,
     compile_ext1,
@@ -79,6 +83,26 @@ QRAM_DIGESTS = {
     (1, 1, False, True): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
     (1, 1, True, False): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
     (1, 1, True, True): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
+    (2, 2, False, False): "4c0b5296d54f15b7c4e75a54ba935a45e13011fb3038ab626ee2924d1b9091b1",
+    (2, 2, False, True): "331c8bfc6e59b243c902c7a3ca9247b0e25fc397582ee99c8dfdb60726bb8085",
+    (2, 2, True, False): "0b01e56cf216e2e288801fe22d200ca13e61bf43d222f942eb2cecae737d77fb",
+    (2, 2, True, True): "0a9ef6cd7e07168a056a26d624639fa4e02ef13de388f63b5b42e89893cbaca0",
+    (3, 2, False, False): "3ad0687ab1324888d170d483e0aecb8008e7b62a1030060044d27e67dda9628c",
+    (3, 2, False, True): "8f16da2eb1fce7bdda2e701329b56fff91b520f7207d0d73ee00025532936024",
+    (3, 2, True, False): "80ae754380a43ceba307d0cd3a00eb243ba901ddbf33ce800f0eb7918b7327f3",
+    (3, 2, True, True): "b3bc878b87cb5ff7a5d1d0fc63ccdac96a0d88b8aeab67f9fc7790688e9e304d",
+    (2, 4, False, False): "2fdb33c9ff2fb1f38bb928b4d9c073c1dc86e5501afaf8faa2be8fa3c63a7d6f",
+    (2, 4, False, True): "2f47825b6dd2d45b03387bd22a0254ab0a2e908686f5242dbd87fc651ee49238",
+    (2, 4, True, False): "bd80f98a4ea2b1ba5a5eee3224bb7ec0bc98d0aa98db12e8f1586ab59542cf79",
+    (2, 4, True, True): "489b62da61ac5cbabe79f7c8e2f9a7fc598ddf585eecaeef8ecefc1cf337d759",
+}
+
+# the first pins, with every Toffoli written as h, ccz, h on its target
+QRAM_HCCZH_DIGESTS = {
+    (1, 1, False, False): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
+    (1, 1, False, True): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
+    (1, 1, True, False): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
+    (1, 1, True, True): "46126cdd744a75f35c97d7ba82de84d3f67a0e8063a01a2a161bad1d947fbd9a",
     (2, 2, False, False): "c3c8b55ec610e24b055ab59ea3826ccd25ad87e63a1929d41b8228182979e014",
     (2, 2, False, True): "e22cf230bf925ad5fc01d541c37b39abbd7b59fb74e6e3d9682b3e4a3c0dd888",
     (2, 2, True, False): "091dbc07b473ec2acdced823c3bf57009e7d68ed1a857bb84bab901df207198f",
@@ -94,9 +118,28 @@ QRAM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n, k, extensions, pipeline", sorted(QRAM_DIGESTS))
-def test_qram_build_output_is_pinned(n, k, extensions, pipeline):
+def _qram_circuit(n, k, extensions, pipeline) -> Circuit:
     rng = np.random.default_rng([n, k])
     memory = tuple(int(v) for v in rng.integers(0, 2**k, size=2**n))
-    build = build_qram_circuit(QramSpec(n, k, memory, extensions, pipeline))
-    assert _digest([build.circuit]) == QRAM_DIGESTS[n, k, extensions, pipeline]
+    return build_qram_circuit(QramSpec(n, k, memory, extensions, pipeline)).circuit
+
+
+@pytest.mark.parametrize("n, k, extensions, pipeline", sorted(QRAM_DIGESTS))
+def test_qram_build_output_is_pinned(n, k, extensions, pipeline):
+    circuit = _qram_circuit(n, k, extensions, pipeline)
+    assert _digest([circuit]) == QRAM_DIGESTS[n, k, extensions, pipeline]
+
+
+@pytest.mark.parametrize("n, k, extensions, pipeline", sorted(QRAM_HCCZH_DIGESTS))
+def test_qram_build_with_each_ccx_expanded_matches_its_first_pin(n, k, extensions, pipeline):
+    # so nothing in the builder moved but the form of the Toffoli
+    circuit = _qram_circuit(n, k, extensions, pipeline)
+    expanded = []
+    for g in circuit.gates:
+        if g.kind == gates.CCX:
+            h = Gate(gates.H, g.wires[2:])
+            expanded += [h, Gate(gates.CCZ, g.wires), h]
+        else:
+            expanded.append(g)
+    old_form = Circuit(circuit.n_wires, tuple(expanded), circuit.known_zero)
+    assert _digest([old_form]) == QRAM_HCCZH_DIGESTS[n, k, extensions, pipeline]

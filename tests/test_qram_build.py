@@ -3,9 +3,10 @@
 Verification is exhaustive over all basis inputs (a, z); the expected action
 |a>|z> -> |a>|z xor memory[a]> with ancillae returned to |0> and zero
 residual phase is checked exactly by the phase-permutation engine, and the
-dense statevector per input is its oracle at small sizes.  The engine's one
-size bound is 2**24 bit-matrix entries (wires x 2**(n+k)), so trees far
-past 20 wires verify, and a circuit with a gate outside its set is refused.
+dense statevector per input is its oracle at small sizes.  Every Toffoli is
+one ccx gate, so no build holds an h.  The engine's one size bound is 2**24
+bit-matrix entries (wires x 2**(n+k)), so trees far past 20 wires verify, and
+a circuit with a gate outside its set is refused.
 """
 
 import tracemalloc
@@ -144,7 +145,7 @@ def test_spec_json_round_trip(tmp_path):
 
 def ideal_fetch_circuit(spec):
     """The fetch written out by hand on spec's layout wires: for each set
-    memory bit, an X-conjugated CNOT (n=1) or H.CCZ.H (n=2) from the address
+    memory bit, an X-conjugated CNOT (n=1) or CCX (n=2) from the address
     bus onto that data wire, so it fires exactly at that address."""
     lay = TreeLayout(spec.n, spec.k)
     addr = [lay.address(i) for i in range(spec.n)]
@@ -160,8 +161,7 @@ def ideal_fetch_circuit(spec):
             if spec.n == 1:
                 fire = [Gate(gates.CNOT, (addr[0], d))]
             else:
-                h = Gate(gates.H, (d,))
-                fire = [h, Gate(gates.CCZ, (*addr, d)), h]
+                fire = [Gate(gates.CCX, (*addr, d))]
             gates_out += flips + fire + flips
     return Circuit(lay.n_wires, tuple(gates_out))
 
@@ -275,6 +275,13 @@ def test_non_monomial_circuits_are_refused():
         named = rf"^not a SWAP-network circuit: gate {len(circuit)} \({extra.kind.name}"
         with pytest.raises(ValueError, match=named):
             verify_circuit_matches(spec, circuit.extended([extra]))
+    # a Toffoli written as h, ccz, h is refused at its first h
+    i = next(i for i, g in enumerate(circuit.gates) if g.kind == gates.CCX)
+    h = Gate(gates.H, circuit.gates[i].wires[2:])
+    toffoli = (h, Gate(gates.CCZ, circuit.gates[i].wires), h)
+    old_form = Circuit(circuit.n_wires, circuit.gates[:i] + toffoli + circuit.gates[i + 1 :])
+    with pytest.raises(ValueError, match=rf"^not a SWAP-network circuit: gate {i} \(h "):
+        verify_circuit_matches(spec, old_form)
 
 
 @pytest.mark.parametrize("n,k,flag", [(1, 17, True), (2, 12, False)])
@@ -338,6 +345,15 @@ def test_verify_circuit_matches_detects_wrong_circuit():
 
 def kinds_used(circuit):
     return {g.kind.name for g in circuit.gates}
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 2), (4, 1)])
+@pytest.mark.parametrize("extensions,pipeline", FLAGS)
+def test_every_toffoli_is_one_ccx_gate(n, k, extensions, pipeline):
+    (memory,) = memories(n, k, 1, seed=n)
+    used = kinds_used(build_qram_circuit(QramSpec(n, k, memory, extensions, pipeline)).circuit)
+    assert "h" not in used and "ccz" not in used
+    assert ("ccx" in used) == (n >= 2 and any(memory))  # n = 1 fetches with a cnot
 
 
 def test_plain_build_uses_swap_family_only():

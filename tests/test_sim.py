@@ -2,9 +2,12 @@
 
 Independent oracles: dense matrix arithmetic (kron products applied to full
 vectors) recomputes what the tensor kernels produce; a tensordot kernel and
-the einsum depolarizing formula pin the fast kernels bit for bit.
+the einsum depolarizing formula pin the fast kernels bit for bit.  A gate
+outside the monomial set (h, fsim, xyevol, zzevol, syc) is refused by every
+entry point with the verifier's one message.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from swapnet.sim import (
     apply_circuit,
     basis_bits,
     basis_deviation,
+    basis_steps,
     check_basis_cap,
     circuit_unitary,
     depolarize_pair,
@@ -96,7 +100,7 @@ def random_rho(rng, n):
 MONOMIAL_KINDS = [
     gates.GateKind(name)
     for name in ("x", "y", "z", "s", "sdag", "cz", "cnot", "swap", "iswap", "iscz",
-                 "cswap", "ciswap", "ciscz", "ccz")
+                 "cswap", "ciswap", "ciscz", "ccz", "ccx")
 ]
 
 
@@ -148,7 +152,7 @@ def test_state_constructors_do_not_alias_caller_arrays():
     vec = random_vec(rng, 8)
     vec_before = vec.copy()
     pure = PureState(3, vec)
-    for g in (Gate(gates.CZ, (0, 2)), Gate(gates.ISCZ, (1, 0)), Gate(gates.H, (2,))):
+    for g in (Gate(gates.CZ, (0, 2)), Gate(gates.ISCZ, (1, 0)), Gate(gates.CCX, (0, 1, 2))):
         pure.apply_gate(g)
     assert np.array_equal(vec, vec_before)
 
@@ -162,35 +166,54 @@ def test_state_constructors_do_not_alias_caller_arrays():
     assert not np.array_equal(mixed.rho, rho_before)
 
 
-def test_non_monomial_kinds_use_the_dense_path():
-    rng = np.random.default_rng(8)
-    vec = random_vec(rng, 8)
-    for g in (Gate(gates.H, (1,)), Gate(gates.SYC, (2, 0)), Gate(gates.zzevol(0.3), (0, 1))):
-        s = PureState(3, vec)
-        s.apply_gate(g)
-        want = tensordot_apply(vec.reshape([2] * 3), g.kind, g.wires).reshape(-1)
-        assert np.array_equal(s.vec, want)
+def test_non_monomial_kinds_are_refused_with_the_verifiers_message():
+    vec = random_vec(np.random.default_rng(8), 8)
+    for g in (Gate(gates.H, (1,)), Gate(gates.SYC, (2, 0)), Gate(gates.zzevol(0.3), (0, 1)),
+              Gate(gates.fsim(0.7, 0.2), (2, 1)), Gate(gates.xyevol(0.4), (1, 0))):
+        named = rf"^not a SWAP-network circuit: gate \({re.escape(str(g))}\) is not monomial$"
+        pure = PureState(3, vec)
+        with pytest.raises(ValueError, match=named):
+            pure.apply_gate(g)
+        assert np.array_equal(pure.vec, vec)
+        mixed = pure.to_density()
+        with pytest.raises(ValueError, match=named):
+            mixed.apply_gate(g)
+        assert np.array_equal(mixed.rho, np.outer(vec, vec.conj()))
+        c = Circuit(3, (Gate(gates.CZ, (0, 1)), g))
+        for state in (pure, mixed):
+            with pytest.raises(ValueError, match=named):
+                apply_circuit(state, c)
+        # given a circuit, the oracle and the verifier also name the gate's index
+        indexed = rf"^not a SWAP-network circuit: gate 1 \({re.escape(str(g))}\) is not monomial$"
+        for check in (circuit_unitary, basis_steps):
+            with pytest.raises(ValueError, match=indexed):
+                check(c)
 
 
-def test_h_ccz_h_propagates_as_an_exact_toffoli():
-    c = Circuit(4, (Gate(gates.H, (1,)), Gate(gates.CCZ, (3, 0, 1)), Gate(gates.H, (1,))))
+def test_ccx_propagates_as_an_exact_toffoli():
+    c = Circuit(4, (Gate(gates.CCX, (3, 0, 1)),))
     inputs = basis_bits(np.arange(16), 4)
     before = inputs.copy()
-    bits, phase = propagate_basis(c, inputs)
+    bits, phase = propagate_basis(basis_steps(c), inputs)
     assert np.array_equal(inputs, before)  # the caller's matrix is left alone
     want = inputs.copy()
     want[1] ^= inputs[3] & inputs[0]
     assert np.array_equal(bits, want) and not phase.any()
-    u = circuit_unitary(c)
-    assert 0 < np.max(np.abs(u - np.round(u.real))) < 1e-15  # dense carries rounding
+    rows = (1 << np.arange(3, -1, -1)) @ want.astype(np.int64)
+    assert np.array_equal(circuit_unitary(c), np.eye(16)[rows].T)  # exact, no rounding
+    # written as h, ccz, h the Toffoli is not one step: its first h is refused
+    h = Gate(gates.H, (1,))
+    with pytest.raises(ValueError, match=r"^not a SWAP-network circuit: gate 0 \(h 1\)"):
+        basis_steps(Circuit(4, (h, Gate(gates.CCZ, (3, 0, 1)), h)))
 
 
 def test_propagated_phases_are_powers_of_i_mod_4():
     # s four times on a wire at 1 is the identity; three times leaves i**3
     c = Circuit(2, (Gate(gates.S, (1,)),) * 3)
-    bits, phase = propagate_basis(c, basis_bits(np.arange(4), 2))
+    bits, phase = propagate_basis(basis_steps(c), basis_bits(np.arange(4), 2))
     assert phase.tolist() == [0, 3, 0, 3]
-    _, phase = propagate_basis(c.extended([Gate(gates.S, (1,))] * 257), basis_bits(np.arange(4), 2))
+    steps = basis_steps(c.extended([Gate(gates.S, (1,))] * 257))
+    _, phase = propagate_basis(steps, basis_bits(np.arange(4), 2))
     assert phase.tolist() == [0, 0, 0, 0]  # 260 quarter turns wrap exactly
 
 
@@ -198,15 +221,11 @@ def test_basis_deviation_is_exact():
     expected = basis_bits(np.arange(4), 2)
     for power, dev in enumerate([0.0, np.sqrt(2), 2.0, np.sqrt(2)]):
         c = Circuit(2, (Gate(gates.S, (1,)),) * power)  # i**power on columns 01 and 11
-        assert basis_deviation(c, expected, expected) == dev == abs(1j**power - 1)
+        assert basis_deviation(basis_steps(c), expected, expected) == dev == abs(1j**power - 1)
     swapped = Circuit(2, (Gate(gates.SWAP, (0, 1)),))  # 01 and 10 land elsewhere
-    assert basis_deviation(swapped, expected, expected) == 1.0
+    assert basis_deviation(basis_steps(swapped), expected, expected) == 1.0
     minus = swapped.extended([Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
-    assert basis_deviation(minus, expected, expected) == 2.0
-    # an h pair around no gate is no h G h triple: refused, not simulated
-    hh = [Gate(gates.H, (0,))] * 2
-    with pytest.raises(ValueError, match=r"^not a SWAP-network circuit: gate 2 \(h 0\)"):
-        basis_deviation(minus.extended(hh), expected, expected)
+    assert basis_deviation(basis_steps(minus), expected, expected) == 2.0
 
 
 def test_bit_matrix_bound_is_two_to_the_24_entries():
@@ -216,6 +235,29 @@ def test_bit_matrix_bound_is_two_to_the_24_entries():
         size = rf"{wires} wires x 2\*\*{inputs.bit_length() - 1} basis inputs"
         with pytest.raises(ValueError, match=rf"^refusing exact check: {size} is over 2\*\*24 "):
             check_basis_cap(wires, inputs)
+
+
+def test_basis_bits_match_the_shift_formula():
+    for n in range(1, 25):
+        indices = np.random.default_rng(n).integers(0, 2**n, size=257)
+        indices[:2] = 0, 2**n - 1
+        shifts = np.arange(n - 1, -1, -1)
+        want = ((indices[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+        got = basis_bits(indices, n)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous and np.array_equal(got, want)
+
+
+def test_basis_bits_need_no_wide_temporary():
+    indices = np.arange(2**19)
+    tracemalloc.start()
+    try:
+        bits = basis_bits(indices, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bits.shape == (19, 2**19) and peak < 32 * 2**20  # an int64 temporary was 80 MiB
+    with pytest.raises(ValueError, match="basis_bits takes at most 32 wires, got 33"):
+        basis_bits(indices[:4], 33)
 
 
 def test_wire_zero_is_most_significant_bit():
@@ -253,10 +295,10 @@ def test_apply_gate_matches_dense_oracle():
     c = Circuit(
         4,
         (
-            Gate(gates.H, (2,)),
+            Gate(gates.Y, (2,)),
             Gate(gates.ISCZ, (1, 3)),
             Gate(gates.CSWAP, (3, 0, 2)),
-            Gate(gates.fsim(0.7, 0.2), (2, 0)),
+            Gate(gates.CCX, (2, 0, 1)),
         ),
     )
     vec = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -285,7 +327,7 @@ def test_circuit_unitary_cap():
 
 def test_mixed_state_tracks_pure_outer_product():
     rng = np.random.default_rng(3)
-    c = Circuit(3, (Gate(gates.H, (0,)), Gate(gates.ISCZ, (0, 2)), Gate(gates.S, (1,))))
+    c = Circuit(3, (Gate(gates.CCX, (1, 2, 0)), Gate(gates.ISCZ, (0, 2)), Gate(gates.S, (1,))))
     s = random_product_state(3, rng)
     pure = apply_circuit(s, c)
     mixed = apply_circuit(s.to_density(), c)
@@ -362,9 +404,10 @@ def test_noise_model_rejects_pure_states():
 
 
 def test_noise_applies_only_after_multi_qubit_gates():
-    c1 = Circuit(2, (Gate(gates.H, (0,)),))
-    r = apply_circuit(PureState.basis(2, 0).to_density(), c1, 0.5)
-    pure = apply_circuit(PureState.basis(2, 0), c1)
+    c1 = Circuit(2, (Gate(gates.S, (0,)),))
+    plus = PureState(2, np.array([1, 0, 1, 0]) / np.sqrt(2))  # (|00> + |10>) / sqrt 2
+    r = apply_circuit(plus.to_density(), c1, 0.5)
+    pure = apply_circuit(plus, c1)
     assert np.max(np.abs(r.rho - np.outer(pure.vec, pure.vec.conj()))) <= 1e-12
     c2 = Circuit(2, (Gate(gates.CZ, (0, 1)),))
     r2 = apply_circuit(PureState.basis(2, 0).to_density(), c2, 1.0)
