@@ -10,9 +10,13 @@ Each trial draws a uniform permutation (Fisher-Yates), routes it on the line
 with odd-even transposition (round 0 compares even pairs (0,1), (2,3), ...),
 and runs a Haar-random single-qubit product input through the compiled
 circuit twice: once pure (fidelity against the ideal permutation of the
-input, which should be 1 up to roundoff) and once as a density matrix with a
-two-qubit depolarizing channel after every two-qubit gate (fidelity against
-the circuit's own noiseless output).
+input, which should be 1 up to roundoff) and once with a two-qubit
+depolarizing channel after every two-qubit gate (fidelity against the
+circuit's own noiseless output).  The noisy run holds no density matrix:
+every benchmark gate is Clifford, so `noisy_fidelity` prices the noise
+exactly from the input's squared Pauli weights, which each gate permutes
+and each channel scales.  `sim.apply_circuit(state.to_density(), circuit, p)`
+with `sim.fidelity` stays the dense reference the tests compare it with.
 
 Per-trial randomness is seeded from (master seed, n, trial), so records do
 not depend on execution order and a parallel run reproduces a serial one.
@@ -25,7 +29,9 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, TextIO
+from functools import lru_cache, reduce
+from itertools import product
+from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -37,7 +43,8 @@ from .compiler import (
     compile_iscz,
     unfuse_iscz,
 )
-from .sim import DENSITY_WIRE_CAP, apply_circuit, check_strength, fidelity, random_product_state
+from .gates import PAULI_1Q, GateKind, gate_matrix
+from .sim import DENSITY_WIRE_CAP, PureState, apply_circuit, check_strength, random_factors
 
 MODES = ("cnot", "iscz_fused", "iscz_unfused")
 
@@ -114,20 +121,148 @@ def compile_mode(path: SwapPath, mode: str) -> Circuit:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+_PAULIS = tuple(PAULI_1Q[c] for c in "IXYZ")  # digit 0..3 of a Pauli string
+
+
+@lru_cache(maxsize=256)
+def _pauli_table(kind: GateKind) -> tuple[int, ...] | None:
+    """The Clifford table of a kind: entry P is the Pauli string Q with
+    U P U^dag = +-Q.  A string over the gate's r operands is numbered in
+    base 4 with digits I, X, Y, Z, the first operand the most significant.
+    None when the kind is not Clifford, so some U P U^dag is no Pauli string."""
+    u = gate_matrix(kind)
+    r = kind.arity
+    strings = np.array([reduce(np.kron, ps, np.eye(1)) for ps in product(_PAULIS, repeat=r)])
+    table = []
+    for p in strings:
+        # coordinates Tr(Q^dag M) / 2**r of M = U P U^dag; their squares sum to 1
+        coords = np.einsum("qij,ij->q", strings.conj(), u @ p @ u.conj().T) / 2**r
+        q = int(np.argmax(abs(coords)))
+        if abs(abs(coords[q]) - 1) > 1e-12:
+            return None
+        table.append(q)
+    return tuple(table)
+
+
+def _gather_index(kind: GateKind, offsets: tuple[int, ...]) -> np.ndarray:
+    """Where each Pauli string over a span of wires takes its weight from
+    when a gate of this kind acts on the span's wires at `offsets`: the span
+    starts at the gate's lowest wire and ends at its highest, its first wire
+    the most significant base-4 digit.  Digits off the gate pass through."""
+    source = np.argsort(_pauli_table(kind))  # the string each string came from
+    span, r = max(offsets) + 1, len(offsets)
+    shifts = [2 * (span - 1 - o) for o in offsets]
+    strings = np.arange(4**span)
+    on_gate = np.zeros_like(strings)
+    index = strings.copy()
+    for s in shifts:
+        digit = (strings >> s) & 3
+        on_gate = (on_gate << 2) | digit
+        index -= digit << s
+    came_from = source[on_gate]
+    for t, s in enumerate(shifts):
+        index += ((came_from >> 2 * (r - 1 - t)) & 3) << s
+    return index
+
+
+def _pauli_steps(circuit: Circuit, p: float) -> list[tuple]:
+    """Each gate's gather (and, for a noisy one, the view of the weights that
+    its channel leaves alone) up to the last gate with noise: a permutation
+    of the weights keeps their sum.  Refuses a gate that is not Clifford,
+    named with its index, before any weight exists."""
+    for i, g in enumerate(circuit.gates):
+        if _pauli_table(g.kind) is None:
+            raise ValueError(f"noisy_fidelity needs Clifford gates: gate {i} ({g}) is not Clifford")
+    noisy = [i for i, g in enumerate(circuit.gates) if len(g.wires) >= 2]
+    stop = noisy[-1] + 1 if noisy and p > 0.0 else 0
+    index_of: dict[tuple, np.ndarray] = {}
+    steps = []
+    for g in circuit.gates[:stop]:
+        lo = min(g.wires)
+        key = (g.kind, tuple(w - lo for w in g.wires))
+        if key not in index_of:
+            index_of[key] = _gather_index(*key)
+        index = index_of[key]
+        gather_shape = (4**lo, len(index), -1)
+        idle = None
+        if len(g.wires) >= 2:  # the strings that are the identity on every operand
+            shape, at, prev = [], [], -1
+            for w in sorted(g.wires):
+                shape += [4 ** (w - prev - 1), 4]
+                at += [slice(None), 0]
+                prev = w
+            idle = (tuple(shape) + (-1,), tuple(at))
+        steps.append((gather_shape, index, idle))
+    return steps
+
+
+def noisy_fidelity(circuit: Circuit, factors: Sequence[np.ndarray], p: float) -> float:
+    """<phi|rho|phi>, where phi is the circuit's noiseless output on the
+    product input of `factors` (one unit 2-vector per wire, wire 0 first) and
+    rho its output when every multi-qubit gate's operands are depolarized
+    with strength p right after the gate: what sim.fidelity(pure,
+    sim.apply_circuit(state.to_density(), circuit, p)) gives, for Clifford
+    circuits, without a density matrix.
+
+    Heisenberg-picture Pauli tracking (Aaronson and Gottesman,
+    arXiv:quant-ph/0406196): with psi the input,
+    F = 2**-n sum_Q lambda_Q <psi|Q|psi>**2 over the 4**n Pauli strings Q,
+    where lambda_Q is (1-p) to the number of channels at which Q, carried
+    through the gates so far, acts on the channel's wires.  The weights
+    start as the Kronecker product of the per-wire [1, x**2, y**2, z**2] / 2,
+    (x, y, z) the wire's Bloch vector; each gate gathers them along its
+    `_pauli_table` into a second buffer, and each channel scales every one
+    but those that are the identity on its wires by 1-p.  Two 4**n float
+    buffers, capped like a density matrix at DENSITY_WIRE_CAP wires.
+    """
+    n = circuit.n_wires
+    check_strength(p)
+    if len(factors) != n:
+        raise ValueError(f"{len(factors)} factors for a circuit on {n} wires")
+    if n > DENSITY_WIRE_CAP:
+        raise ValueError(f"refusing Pauli weights on {n} wires (cap {DENSITY_WIRE_CAP})")
+    bloch = []
+    for w, f in enumerate(factors):
+        f = np.asarray(f, dtype=complex)
+        if f.shape != (2,) or abs(np.vdot(f, f).real - 1) > 1e-9:
+            raise ValueError(f"factor {w} is not a unit 2-vector")
+        a, b = f
+        ab = np.conj(a) * b
+        x, y, z = 2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2
+        bloch.append(np.array([1.0, x * x, y * y, z * z]) / 2)
+    steps = _pauli_steps(circuit, p)
+    weights = np.ones(1)
+    for v in bloch:
+        weights = np.outer(weights, v).ravel()  # the Kronecker product, wire 0 first
+    spare = np.empty_like(weights)
+    for gather_shape, index, idle in steps:
+        out = spare.reshape(gather_shape)
+        # every index is in range; mode "raise" would buffer the output
+        np.take(weights.reshape(gather_shape), index, axis=1, out=out, mode="clip")
+        if idle is not None:
+            # the gate kept the strings that are the identity on its wires in
+            # place, and the channel leaves them alone
+            np.multiply(spare, 1.0 - p, out=spare)
+            shape, at = idle
+            np.copyto(spare.reshape(shape)[at], weights.reshape(shape)[at])
+        weights, spare = spare, weights
+    return float(weights.sum())
+
+
 def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     n, trial, config = task
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, trial]))
     perm = random_permutation(n, rng)
     path = route_linear(perm)
-    state = random_product_state(n, rng)
+    factors = random_factors(n, rng)
+    state = PureState.product(factors)
     ideal = apply_reference_permutation(path, state.vec)
     out = []
     for mode in MODES:
         circuit = compile_mode(path, mode)
         pure = apply_circuit(state, circuit)
         fid_clean = float(abs(np.vdot(ideal, pure.vec)) ** 2)
-        noisy = apply_circuit(state.to_density(), circuit, config.p)
-        fid_noisy = fidelity(pure, noisy)
+        fid_noisy = noisy_fidelity(circuit, factors, config.p)
         met = metrics(circuit)
         out.append(
             TrialRecord(

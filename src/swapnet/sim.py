@@ -23,7 +23,10 @@ Density matrices cost 4^n; construction is capped at a fixed n <= 10
 (DENSITY_WIRE_CAP), checked before the matrix is formed, so a typo cannot
 silently allocate gigabytes.  Statevectors are capped only by memory.
 States copy the array they are built from, so the in-place kernels never
-write into an array the caller still holds.
+write into an array the caller still holds.  No command runs a density
+matrix: `netbench.noisy_fidelity` prices the benchmark's noise from Pauli
+weights, and MixedState, depolarize_pair and the mixed branch of `fidelity`
+are the dense reference its tests compare it with.
 
 Verification needs no amplitudes at all.  A monomial gate sends a basis
 state to one basis state times a power of i, so `propagate_basis` pushes a
@@ -336,13 +339,19 @@ def basis_deviation(steps: list, inputs: np.ndarray, expected: np.ndarray) -> fl
     return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
 
 
-def random_product_state(n: int, rng: np.random.Generator) -> PureState:
-    """Haar-random single-qubit product state: two complex normals per qubit, normalized."""
+def random_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Haar-random single-qubit states, wire 0 first: two complex normals per
+    qubit, normalized."""
     factors = []
     for _ in range(n):
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
         factors.append(a / np.linalg.norm(a))
-    return PureState.product(factors)
+    return factors
+
+
+def random_product_state(n: int, rng: np.random.Generator) -> PureState:
+    """Haar-random single-qubit product state, the product of random_factors."""
+    return PureState.product(random_factors(n, rng))
 
 
 def fidelity(a: PureState | MixedState, b: PureState | MixedState) -> float:

@@ -1,23 +1,35 @@
-"""Benchmark harness: routing, per-trial determinism, output formats."""
+"""Benchmark harness: routing, per-trial determinism, output formats, and
+the Pauli-weight noise engine against the density-matrix oracle."""
 
 import csv
 import hashlib
 import io
 import json
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from swapnet import netbench
-from swapnet.circuit import metrics
-from swapnet.compiler import apply_reference_permutation
-from swapnet.sim import DENSITY_WIRE_CAP
+from swapnet import gates, netbench
+from swapnet.circuit import Circuit, Gate, metrics
+from swapnet.compiler import apply_reference_permutation, compile_iscz
+from swapnet.sim import (
+    DENSITY_WIRE_CAP,
+    PureState,
+    apply_circuit,
+    fidelity,
+    random_factors,
+    random_product_state,
+)
 from swapnet.netbench import (
     MODES,
     BenchConfig,
     TrialRecord,
     compile_mode,
+    noisy_fidelity,
     random_permutation,
     route_linear,
     run_benchmark,
@@ -26,6 +38,9 @@ from swapnet.netbench import (
     write_csv,
     write_json,
 )
+
+ORACLE_TOL = 1e-12
+STRENGTHS = (0.0, 0.02, 0.3, 1.0)
 
 SMALL = BenchConfig(sizes=(3, 4), trials=6, p=0.05, seed=42)
 
@@ -194,10 +209,141 @@ def test_summarize_groups_by_size_then_mode():
     assert "iscz_fused" in text and len(text.splitlines()) == 2 + len(rows)
 
 
-def test_csv_bytes_for_a_fixed_seed_are_pinned():
-    # sha256 of the CSV written before the simulator's kernels were rewritten;
-    # any change to the records or their formatting changes it
+PINNED_CSV = BenchConfig(sizes=(3, 4, 5, 6), trials=4, seed=0)
+
+
+def _pinned_csv() -> str:
     buf = io.StringIO()
-    write_csv(run_benchmark(BenchConfig(sizes=(3, 4, 5, 6), trials=4, seed=0)), buf)
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == "576f7a5cb13e23138c92a70d22ec24f2d0bbd1104b10262c8bdaca8d325ebc4e"
+    write_csv(run_benchmark(PINNED_CSV), buf)
+    return buf.getvalue()
+
+
+def test_csv_bytes_for_a_fixed_seed_are_pinned():
+    # sha256 of the CSV written once fidelity_noisy came from Pauli weights
+    # rather than a density matrix, which moved it by at most 9e-16; any
+    # change to the records or their formatting changes it
+    digest = hashlib.sha256(_pinned_csv().encode()).hexdigest()
+    assert digest == "957728ddd06687ea88de5e3fee3d36b6bae612f51004737b316230417ac2550b"
+
+
+def test_csv_bytes_without_fidelity_noisy_are_pinned():
+    # every column but the noise engine's own output, pinned since the
+    # simulator's kernels were rewritten: the noise engine must leave the
+    # permutation, the pure state and the compiled circuits as they were
+    rows = list(csv.reader(io.StringIO(_pinned_csv())))
+    drop = rows[0].index("fidelity_noisy")
+    text = "".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "13f698aac5120af46480c3e285451fd405300dce0efd20839ab6b8c9ada4cf37"
+
+
+def _density_fidelity(circuit, state, p):
+    """The dense reference: a density matrix through every gate and channel."""
+    pure = apply_circuit(state, circuit)
+    return fidelity(pure, apply_circuit(state.to_density(), circuit, p))
+
+
+@pytest.mark.parametrize("p", STRENGTHS)
+def test_every_bench_record_matches_the_density_oracle(p):
+    # replays each trial's draws the way sim.random_product_state makes them
+    config = BenchConfig(sizes=tuple(range(2, 9)), trials=1, p=p, seed=11)
+    records = run_benchmark(config)
+    assert len(records) == 7 * len(MODES)
+    for r in records:
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, r.n, r.trial]))
+        path = route_linear(random_permutation(r.n, rng))
+        state = random_product_state(r.n, rng)
+        want = _density_fidelity(compile_mode(path, r.mode), state, p)
+        assert abs(r.fidelity_noisy - want) <= ORACLE_TOL, (r.n, r.mode, p)
+
+
+CLIFFORD_KINDS = (
+    gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ,
+    gates.S, gates.SDAG, gates.X, gates.Y, gates.Z,
+)
+
+
+@st.composite
+def clifford_circuits(draw):
+    n = draw(st.integers(2, 6))
+    body = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(CLIFFORD_KINDS))
+        # any order and any distance, so reversed and non-adjacent pairs occur
+        body.append(Gate(kind, tuple(draw(st.permutations(range(n)))[: kind.arity])))
+    return Circuit(n, tuple(body))
+
+
+@given(clifford_circuits(), st.sampled_from(STRENGTHS), st.integers(0, 2**32 - 1))
+@example(Circuit(2, (Gate(gates.CNOT, (1, 0)), Gate(gates.S, (1,)))), 0.3, 1)
+@example(Circuit(4, (Gate(gates.ISWAP, (3, 0)), Gate(gates.CNOT, (0, 2)), Gate(gates.Y, (1,)))), 0.02, 2)
+@example(Circuit(5, (Gate(gates.CZ, (4, 1)), Gate(gates.SWAP, (0, 3)), Gate(gates.ISCZ, (2, 1)))), 1.0, 3)
+@settings(max_examples=120, deadline=None)
+def test_noisy_fidelity_matches_the_density_oracle_on_clifford_circuits(circuit, p, seed):
+    factors = random_factors(circuit.n_wires, np.random.default_rng(seed))
+    want = _density_fidelity(circuit, PureState.product(factors), p)
+    assert abs(noisy_fidelity(circuit, factors, p) - want) <= ORACLE_TOL
+
+
+def _fused_closed_form(path, p: float) -> float:
+    """2**-n sum over value sets A of (1-p)**(swaps whose two values meet A):
+    an iSCZ is a SWAP times single-qubit S gates, so a Pauli string keeps the
+    set of values it acts on, and a pure input's weights over strings on a
+    set A sum to 1 whatever the state."""
+    held = list(range(path.n_wires))
+    sets = np.arange(2**path.n_wires)
+    hits = np.zeros_like(sets)
+    for a, b in path.pairs:
+        hits += (sets & ((1 << held[a]) | (1 << held[b]))) != 0
+        held[a], held[b] = held[b], held[a]
+    return float(np.mean((1.0 - p) ** hits))
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.permutations(range(n))),
+       st.sampled_from((0.02, 0.3)), st.integers(0, 2**32 - 1))
+@example([3, 2, 1, 0], 0.02, 0)
+@settings(max_examples=60, deadline=None)
+def test_fused_mode_has_a_closed_form_independent_of_the_input(perm, p, seed):
+    path = route_linear(tuple(perm))
+    factors = random_factors(path.n_wires, np.random.default_rng(seed))
+    got = noisy_fidelity(compile_iscz(path).circuit, factors, p)
+    assert abs(got - _fused_closed_form(path, p)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind", [gates.CCX, gates.CSWAP, gates.fsim(0.3, 0.2)], ids=str)
+def test_noisy_fidelity_refuses_a_non_clifford_gate_by_name(kind):
+    g = Gate(kind, tuple(range(kind.arity)))
+    circuit = Circuit(3, (Gate(gates.CZ, (0, 1)), g))
+    with pytest.raises(ValueError, match=re.escape(f"gate 1 ({g}) is not Clifford")):
+        noisy_fidelity(circuit, random_factors(3, np.random.default_rng(0)), 0.02)
+
+
+def test_noisy_fidelity_checks_every_gate_before_any_weight_exists():
+    # a non-adjacent gate's gather index spans 4**10 strings, and the refused
+    # gate comes after it, so neither may be built
+    n = DENSITY_WIRE_CAP
+    circuit = Circuit(n, (Gate(gates.CZ, (0, n - 1)), Gate(gates.CNOT, (0, 1)), Gate(gates.CCX, (0, 1, 2))))
+    factors = random_factors(n, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"gate 2 \(ccx 0 1 2\)"):
+            noisy_fidelity(circuit, factors, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4**n  # one 4**n float buffer is 8 MiB
+
+
+def test_noisy_fidelity_refuses_bad_input():
+    factors = random_factors(3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="2 factors for a circuit on 3 wires"):
+        noisy_fidelity(Circuit(3), factors[:2], 0.02)
+    with pytest.raises(ValueError, match="factor 1 is not a unit 2-vector"):
+        noisy_fidelity(Circuit(3), [factors[0], 2 * factors[1], factors[2]], 0.02)
+    with pytest.raises(ValueError, match="factor 2 is not a unit 2-vector"):
+        noisy_fidelity(Circuit(3), [factors[0], factors[1], np.ones(3) / 3**0.5], 0.02)
+    with pytest.raises(ValueError, match="outside"):
+        noisy_fidelity(Circuit(3), factors, 1.5)
+    n = DENSITY_WIRE_CAP + 1
+    with pytest.raises(ValueError, match=f"refusing Pauli weights on {n} wires"):
+        noisy_fidelity(Circuit(n), random_factors(n, np.random.default_rng(0)), 0.02)
