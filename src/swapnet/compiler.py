@@ -31,7 +31,9 @@ from . import gates
 from .circuit import (
     MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, phase_gates
 )
-from .sim import basis_bits, basis_deviation, basis_steps, check_basis_cap, check_unitary_cap
+from .sim import (
+    basis_bits, basis_deviation, basis_index, basis_steps, check_basis_cap, check_unitary_cap
+)
 
 
 class UnschedulableCZError(RuntimeError):
@@ -294,14 +296,10 @@ def compile_ext2(
 
 def _permuted_indices(path: SwapPath) -> np.ndarray:
     """Where the SWAP sequence sends each basis index: entry b is the index of
-    the output basis state for input basis state b."""
+    the output basis state for input basis state b: wire w ends up holding
+    the bit that started on wire value_at()[w]."""
     n = path.n_wires
-    held = path.value_at()
-    b = np.arange(2**n)
-    bprime = np.zeros_like(b)
-    for w in range(n):
-        bprime |= ((b >> (n - 1 - held[w])) & 1) << (n - 1 - w)
-    return bprime
+    return basis_index(basis_bits(np.arange(2**n), n)[path.value_at()])
 
 
 def reference_permutation_unitary(path: SwapPath) -> np.ndarray:

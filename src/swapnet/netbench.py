@@ -224,7 +224,7 @@ def noisy_fidelity(circuit: Circuit, factors: Sequence[np.ndarray], p: float) ->
     bloch = []
     for w, f in enumerate(factors):
         f = np.asarray(f, dtype=complex)
-        if f.shape != (2,) or abs(np.vdot(f, f).real - 1) > 1e-9:
+        if f.shape != (2,) or not abs(np.vdot(f, f).real - 1) <= 1e-9:
             raise ValueError(f"factor {w} is not a unit 2-vector")
         a, b = f
         ab = np.conj(a) * b

@@ -11,36 +11,38 @@ the QRAM builder emits.  Any other gate (h, fsim, xyevol, zzevol, syc) is
 refused by every entry point with one ValueError, "not a SWAP-network
 circuit: gate ... is not monomial", which `_table` alone raises.
 
-Every gate application goes through one kernel, `_apply_kind`, on the [2]*N
-view of a statevector, a density matrix (ket axes, then bra axes with the
-conjugate phases) or a unitary under construction.  It works in place,
-moving whole slices along the cycles of the gate's permutation and
-multiplying by the phase; those multiplies are exact, and diagonal kinds
-touch only their non-unit slices.  Depolarizing noise also works in place on
-the [2]*2n view.
+A monomial gate sends a basis state to one basis state times a power of i,
+so one kernel, `propagate_basis`, runs every circuit: it pushes a batch of
+basis inputs through a circuit as a (wires x inputs) uint8 bit matrix plus
+an integer phase power mod 4 per input.  One cached table per kind,
+`_monomial`, holds the (input index -> output index, phase power) map it
+reads; `basis_steps` looks the tables up for a circuit, so every entry point
+refuses a gate outside the set before it builds anything.
+
+Amplitudes move along `basis_map(steps, n)`, the propagated image of all
+2**n basis states packed back to indices by `basis_index`: a statevector
+becomes vec'[index] = vec * i**power, a density matrix takes the same map on
+its rows and the conjugate powers on its columns, and `circuit_unitary` is
+U[index, j] = i**power[j].  The phase multiplies are exact.
+`apply_circuit` looks up the circuit's steps once and applies them in
+segments that end at each noise site, so a noiseless run is one map.
+Depolarizing noise works in place on the [2]*2n view.
 
 Density matrices cost 4^n; construction is capped at a fixed n <= 10
 (DENSITY_WIRE_CAP), checked before the matrix is formed, so a typo cannot
-silently allocate gigabytes.  Statevectors are capped only by memory.
-States copy the array they are built from, so the in-place kernels never
-write into an array the caller still holds.  No command runs a density
-matrix: `netbench.noisy_fidelity` prices the benchmark's noise from Pauli
-weights, and MixedState, depolarize_pair and the mixed branch of `fidelity`
-are the dense reference its tests compare it with.
+silently allocate gigabytes.  A basis map holds an n x 2**n bit matrix, so
+`check_basis_cap` bounds statevectors at 19 wires before it exists.
+States copy the array they are built from, so the kernels never write into
+an array the caller still holds.  No command runs a density matrix:
+`netbench.noisy_fidelity` prices the benchmark's noise from Pauli weights,
+and MixedState, depolarize_pair and the mixed branch of `fidelity` are the
+dense reference its tests compare it with.
 
-Verification needs no amplitudes at all.  A monomial gate sends a basis
-state to one basis state times a power of i, so `propagate_basis` pushes a
-batch of basis inputs through a circuit as a (wires x inputs) uint8 bit
-matrix plus an integer phase power mod 4 per input.  One cached table per
-kind, `_monomial`, serves both engines: the cycles the in-place kernel moves
-slices along, and the (input index -> output index, phase power) map this
-engine reads.  `basis_steps` looks them up for a circuit, so a verifier
-refuses a gate outside the set before it builds any input.
-`basis_deviation` turns the result into the dense max |U - P| exactly: 0,
-sqrt 2 or 2 for a column that lands on its expected index with phase 1, +-i
-or -1, and 1 for one that lands elsewhere.  Its one size bound,
-`check_basis_cap`, refuses a bit matrix over BASIS_ENTRY_CAP entries before
-the inputs exist.  `circuit_unitary` stays as the test oracle.  `fidelity`
+Verification needs no amplitudes at all.  `basis_deviation` turns the
+propagated inputs into the dense max |U - P| exactly: 0, sqrt 2 or 2 for a
+column that lands on its expected index with phase 1, +-i or -1, and 1 for
+one that lands elsewhere.  Its one size bound, `check_basis_cap`, refuses a
+bit matrix over BASIS_ENTRY_CAP entries before the inputs exist.  `fidelity`
 compares a pure state with a pure or a mixed one.
 """
 
@@ -86,7 +88,12 @@ class PureState:
         return PureState(self.n, self.vec)
 
     def apply_gate(self, gate: Gate) -> None:
-        _apply_kind(self.vec.reshape([2] * self.n), _table(gate)[0], gate.wires)
+        self._apply_map(*basis_map([(gate.wires, _table(gate))], self.n))
+
+    def _apply_map(self, index: np.ndarray, power: np.ndarray) -> None:
+        vec = np.empty_like(self.vec)
+        vec[index] = self.vec * _POWERS[power]
+        self.vec = vec
 
     def to_density(self) -> "MixedState":
         check_density_cap(self.n)  # before the 4**n outer product
@@ -109,27 +116,28 @@ class MixedState:
         return MixedState(self.n, self.rho)
 
     def apply_gate(self, gate: Gate) -> None:
-        n, cycles = self.n, _table(gate)[0]
-        t = self.rho.reshape([2] * (2 * n))
-        _apply_kind(t, cycles, gate.wires)  # U rho
-        _apply_kind(t, cycles, tuple(n + w for w in gate.wires), conj=True)  # ... U^dag
+        self._apply_map(*basis_map([(gate.wires, _table(gate))], self.n))
+
+    def _apply_map(self, index: np.ndarray, power: np.ndarray) -> None:
+        rows = np.empty_like(self.rho)
+        rows[index] = self.rho * _POWERS[power, None]  # U rho
+        rows *= _POWERS[-power & 3]  # ... U^dag, column by column
+        self.rho[:, index] = rows
 
 
 _PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
+_POWERS = np.array(_PHASES)
 
 
 @lru_cache(maxsize=256)
 def _monomial(kind: GateKind) -> tuple | None:
-    """The one table of a monomial kind, read by both engines.
+    """The basis map of a monomial kind, the table propagate_basis reads.
 
     Column j of the matrix is i**power[j] times the basis vector dest[j].
-    Returned as (cycles, (moves, power)):
-    - cycles, for _apply_kind: output index i takes phase * input index
-      src(i); a cycle ((i0, ph0), (i1, ph1), ...) lists i1 = src(i0),
-      i2 = src(i1), ... and wraps round; fixed points with phase 1 are left out;
-    - moves, for propagate_basis: each operand position whose bit can change,
-      paired with that bit of dest, per j; power is None when every phase is 1.
-    None when the matrix is not monomial with every nonzero entry in _PHASES.
+    Returned as (moves, power): moves pairs each operand position whose bit
+    can change with that bit of dest, per j; power is None when every phase
+    is 1.  None when the matrix is not monomial with every nonzero entry in
+    _PHASES.
     """
     u = gate_matrix(kind)
     a = kind.arity
@@ -139,25 +147,13 @@ def _monomial(kind: GateKind) -> tuple | None:
     if not all(z in _PHASES for z in u[nonzero]):
         return None
     dest = np.argmax(nonzero, axis=0)
-    src = np.argsort(dest)
-    cycles = []
-    seen: set[int] = set()
-    for start in range(len(u)):
-        cycle = []
-        i = start
-        while i not in seen:
-            seen.add(i)
-            cycle.append((i, complex(u[i, src[i]])))
-            i = int(src[i])
-        if cycle and cycle != [(start, 1)]:
-            cycles.append(tuple(cycle))
     power = np.array([_PHASES.index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
     moves = []
     for p in range(a):
         bit = ((dest >> (a - 1 - p)) & 1).astype(np.uint8)
         if np.any(bit != (np.arange(2**a) >> (a - 1 - p)) & 1):
             moves.append((p, bit))
-    return tuple(cycles), (tuple(moves), (power if power.any() else None))
+    return tuple(moves), (power if power.any() else None)
 
 
 def _table(gate: Gate, index: int | None = None) -> tuple:
@@ -171,15 +167,6 @@ def _table(gate: Gate, index: int | None = None) -> tuple:
     return table
 
 
-def _scaled_copy(src: np.ndarray, phase: complex, dst: np.ndarray) -> None:
-    if phase == 1:
-        np.copyto(dst, src)
-    elif phase == -1:
-        np.negative(src, out=dst)
-    else:
-        np.multiply(src, phase, out=dst)
-
-
 def _part(t: np.ndarray, axes: tuple[int, ...], i: int) -> np.ndarray:
     """View of t with `axes` fixed to the bits of i, the first axis the most
     significant; the Ellipsis keeps a 0-d view rather than a scalar."""
@@ -187,23 +174,6 @@ def _part(t: np.ndarray, axes: tuple[int, ...], i: int) -> np.ndarray:
     for k, a in enumerate(axes):
         index[a] = (i >> (len(axes) - 1 - k)) & 1
     return t[(*index, ...)]
-
-
-def _apply_kind(t: np.ndarray, cycles: tuple, axes: tuple[int, ...], conj: bool = False) -> None:
-    """Apply the gate with these _monomial cycles (or its elementwise
-    conjugate) to `axes` of the tensor t, in place.  Axes beyond the gate's
-    are untouched, so t may carry any trailing shape (circuit_unitary keeps
-    one axis of 2**n columns)."""
-    for cycle in cycles:
-        parts = [_part(t, axes, i) for i, _ in cycle]
-        phases = [ph.conjugate() if conj else ph for _, ph in cycle]
-        if len(cycle) == 1:
-            _scaled_copy(parts[0], phases[0], parts[0])
-            continue
-        first = parts[0].copy()
-        for k in range(len(cycle) - 1):
-            _scaled_copy(parts[k + 1], phases[k], parts[k])
-        _scaled_copy(first, phases[-1], parts[-1])
 
 
 def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
@@ -247,11 +217,16 @@ def apply_circuit(
     check_strength(p)
     if p > 0.0 and isinstance(state, PureState):
         raise ValueError("noisy simulation needs a density matrix")
+    steps = basis_steps(circuit)
     out = state.copy()
-    for g in circuit.gates:
-        out.apply_gate(g)
-        if p > 0.0 and len(g.wires) >= 2:
-            depolarize_pair(out, g.wires, p)
+    start = 0
+    for stop, (wires, _) in enumerate(steps, 1):
+        if p > 0.0 and len(wires) >= 2:
+            out._apply_map(*basis_map(steps[start:stop], state.n))
+            depolarize_pair(out, wires, p)
+            start = stop
+    if start < len(steps):
+        out._apply_map(*basis_map(steps[start:], state.n))
     return out
 
 
@@ -268,24 +243,25 @@ def check_unitary_cap(n: int) -> None:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**n x 2**n unitary; batched over columns, capped to keep memory sane."""
+    """Full 2**n x 2**n unitary, one entry i**power per column of the
+    circuit's basis_map; capped to keep memory sane."""
     n = circuit.n_wires
     check_unitary_cap(n)
-    t = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
-    for i, g in enumerate(circuit.gates):
-        _apply_kind(t, _table(g, i)[0], g.wires)
-    return t.reshape(2**n, 2**n)
+    index, power = basis_map(basis_steps(circuit), n)
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    u[index, np.arange(2**n)] = _POWERS[power]
+    return u
 
 
 # -- exact phase-permutation engine -------------------------------------------
 
-_DEVIATION_BY_POWER = np.abs(np.array(_PHASES) - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
+_DEVIATION_BY_POWER = np.abs(_POWERS - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
 
 
 def basis_steps(circuit: Circuit) -> list[tuple[tuple[int, ...], tuple]]:
     """Each gate's (wires, basis map), the form propagate_basis runs; refuses
     the first gate outside the monomial set."""
-    return [(g.wires, _table(g, i)[1]) for i, g in enumerate(circuit.gates)]
+    return [(g.wires, _table(g, i)) for i, g in enumerate(circuit.gates)]
 
 
 def check_basis_cap(wires: int, inputs: int) -> None:
@@ -303,6 +279,25 @@ def basis_bits(indices: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"basis_bits takes at most 32 wires, got {n}")
     words = np.asarray(indices).astype(">u4").view(np.uint8).reshape(-1, 4)
     return np.ascontiguousarray(np.unpackbits(words, axis=1)[:, 32 - n :].T)
+
+
+def basis_index(bits: np.ndarray) -> np.ndarray:
+    """The basis index of each column of a (wires x inputs) bit matrix, the
+    inverse of basis_bits; row 0 is the most significant bit."""
+    index = np.zeros(bits.shape[1], dtype=np.intp)
+    for row in bits:
+        index <<= 1
+        index |= row
+    return index
+
+
+def basis_map(steps: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the circuit with these basis_steps sends each of the 2**n basis
+    states: its output index and phase power mod 4, input index order.  The
+    n x 2**n bit matrix is bounded by check_basis_cap before it exists."""
+    check_basis_cap(n, 2**n)
+    bits, power = propagate_basis(steps, basis_bits(np.arange(2**n), n))
+    return basis_index(bits), power
 
 
 def propagate_basis(steps: list, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,9 @@ compiled circuits must match it exactly, including global phase, on the
 columns their preconditions allow.  verify_equivalence checks them with the
 exact phase-permutation engine and refuses a circuit with any gate outside
 its set (the monomial kinds, ccx among them) before it builds any input; the
-dense unitary, circuit_unitary minus the reference on the kept columns, is
-its oracle here, up to 12 wires.  Past that the engine runs alone, up to its
-bound of 2**24 bit-matrix entries.
+dense unitary multiplied out of gate matrices (tests/oracles.py), minus the
+reference on the kept columns, is its oracle here, up to 12 wires.  Past
+that the engine runs alone, up to its bound of 2**24 bit-matrix entries.
 """
 
 import re
@@ -40,6 +40,8 @@ from swapnet.compiler import (
 )
 from swapnet.netbench import random_permutation, route_linear
 from swapnet.sim import basis_bits, basis_steps, circuit_unitary, propagate_basis
+
+from oracles import dense_unitary
 
 WORKED_PATH = SwapPath(5, ((0, 1), (2, 3), (1, 2), (3, 4)))
 
@@ -103,7 +105,7 @@ def test_empty_path_compiles_to_empty_circuit():
 
 
 def test_reference_unitary_is_the_swap_product():
-    # independent cross-check: multiply actual SWAP gate matrices
+    # independent cross-check: the SWAP gates' own basis maps, read from their matrices
     path = SwapPath(4, ((0, 1), (2, 3), (1, 2)))
     swap_circuit = Circuit(4, tuple(Gate(gates.SWAP, p) for p in path.pairs))
     assert np.array_equal(
@@ -177,7 +179,7 @@ def test_unfuse_doubles_two_qubit_count_same_unitary():
     res = compile_iscz(WORKED_PATH)
     unfused = unfuse_iscz(res.circuit)
     assert metrics(unfused).two_qubit_gates == 2 * metrics(res.circuit).two_qubit_gates
-    assert np.max(np.abs(circuit_unitary(unfused) - circuit_unitary(res.circuit))) <= 1e-12
+    assert np.max(np.abs(dense_unitary(unfused) - dense_unitary(res.circuit))) <= 1e-12
 
 
 def test_ext1_drops_cz_on_zero_operand():
@@ -438,9 +440,10 @@ def kept_columns(n, constraints):
 
 
 def dense_deviation(path, circuit, constraints):
-    """Oracle: max |U - P| on the kept columns, both matrices built in full."""
+    """Oracle: max |U - P| on the kept columns, both matrices built in full,
+    U from gate matrices."""
     cols = kept_columns(path.n_wires, constraints)
-    u = circuit_unitary(circuit)[:, cols]
+    u = dense_unitary(circuit)[:, cols]
     return float(np.max(np.abs(u - reference_permutation_unitary(path)[:, cols])))
 
 
@@ -496,7 +499,7 @@ def test_property_exact_engine_matches_the_dense_unitary(case):
     want = np.zeros((2**n, len(cols)), dtype=complex)
     rows = (1 << np.arange(n - 1, -1, -1)) @ bits.astype(np.int64)
     want[rows, np.arange(len(cols))] = PHASES[phase]
-    assert np.max(np.abs(circuit_unitary(circuit)[:, cols] - want)) <= 1e-12
+    assert np.max(np.abs(dense_unitary(circuit)[:, cols] - want)) <= 1e-12
     dense = dense_deviation(path, circuit, constraints)
     event("equivalent" if dense <= 1e-10 else "not equivalent")
     assert abs(verify_equivalence(path, circuit, constraints) - dense) <= 1e-12

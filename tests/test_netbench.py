@@ -342,6 +342,11 @@ def test_noisy_fidelity_refuses_bad_input():
         noisy_fidelity(Circuit(3), [factors[0], 2 * factors[1], factors[2]], 0.02)
     with pytest.raises(ValueError, match="factor 2 is not a unit 2-vector"):
         noisy_fidelity(Circuit(3), [factors[0], factors[1], np.ones(3) / 3**0.5], 0.02)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="factor 0 is not a unit 2-vector"):
+            noisy_fidelity(Circuit(3), [[bad, 0], [1, 0], [1, 0]], 0.02)
+        with pytest.raises(ValueError, match="factor 2 is not a unit 2-vector"):
+            noisy_fidelity(Circuit(3), [[1, 0], [0, 1], [0, bad]], 0.02)
     with pytest.raises(ValueError, match="outside"):
         noisy_fidelity(Circuit(3), factors, 1.5)
     n = DENSITY_WIRE_CAP + 1

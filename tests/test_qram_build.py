@@ -24,8 +24,10 @@ from swapnet import gates
 from swapnet.circuit import Circuit, CircuitFormatError, Gate, load_json, metrics
 from swapnet.qram.counts import count_gates
 from swapnet.qram.layout import TreeLayout
-from swapnet.sim import PureState, apply_circuit
+from swapnet.sim import PureState
 from swapnet.qram.verify import verify_circuit_matches, verify_qram
+
+from oracles import tensordot_statevector
 
 TOL = 1e-9
 SMALL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -240,16 +242,15 @@ def test_exhaustive_verification_three_layers(n, k, extensions, pipeline):
 
 
 def dense_deviation(spec, circuit):
-    """Oracle: one dense statevector per basis input, as verification once ran."""
+    """Oracle: one dense statevector per basis input, run gate by gate
+    through gate-matrix contractions."""
     lay = TreeLayout(spec.n, spec.k)
     trailing = lay.n_wires - spec.n - spec.k
     worst = 0.0
     for a in range(2**spec.n):
         for z in range(2**spec.k):
-            state = apply_circuit(
-                PureState.basis(lay.n_wires, ((a << spec.k) | z) << trailing), circuit
-            )
-            err = state.vec
+            vec = PureState.basis(lay.n_wires, ((a << spec.k) | z) << trailing).vec
+            err = tensordot_statevector(circuit, vec)
             err[((a << spec.k) | (z ^ spec.memory[a])) << trailing] -= 1.0
             worst = max(worst, float(np.max(np.abs(err))))
     return worst

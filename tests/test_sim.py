@@ -1,10 +1,13 @@
-"""Simulation kernels: statevectors, density matrices, noise, fidelity.
+"""Simulation on the one basis-map engine: statevectors, density matrices,
+noise, fidelity.
 
-Independent oracles: dense matrix arithmetic (kron products applied to full
-vectors) recomputes what the tensor kernels produce; a tensordot kernel and
-the einsum depolarizing formula pin the fast kernels bit for bit.  A gate
-outside the monomial set (h, fsim, xyevol, zzevol, syc) is refused by every
-entry point with the verifier's one message.
+Independent oracles from tests/oracles.py, both built from gate_matrix:
+dense matrix arithmetic (kron products applied to full vectors) recomputes
+what the basis maps produce, and a gate-by-gate tensordot contraction, with
+the einsum depolarizing formula, pins them bit for bit, one gate or a whole
+noisy circuit at a time.  A gate outside the monomial set (h, fsim, xyevol,
+zzevol, syc) is refused by every entry point with the verifier's one
+message.
 """
 
 import re
@@ -34,38 +37,9 @@ from swapnet.sim import (
     random_product_state,
 )
 
+from oracles import dense_unitary, tensordot_apply, tensordot_statevector
+
 TOL = 1e-12
-
-
-def dense_unitary(circuit):
-    """Oracle: expand every gate to a full 2^n x 2^n matrix with explicit
-    wire-to-axis bookkeeping, then multiply."""
-    n = circuit.n_wires
-    u = np.eye(2**n, dtype=complex)
-    for g in circuit.gates:
-        m = gate_matrix(g.kind)
-        w = len(g.wires)
-        perm = list(g.wires) + [i for i in range(n) if i not in g.wires]
-        p = np.zeros((2**n, 2**n))
-        for b in range(2**n):
-            bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
-            out = 0
-            for pos, wire in enumerate(perm):
-                out = (out << 1) | bits[wire]
-            p[out, b] = 1.0
-        big = np.kron(m, np.eye(2 ** (n - w)))
-        u = (p.T @ big @ p) @ u
-    return u
-
-
-def tensordot_apply(t, kind, axes, conj=False):
-    """Oracle: contract the gate tensor with the state's operand axes."""
-    w = len(axes)
-    u = gate_matrix(kind)
-    if conj:
-        u = u.conj()
-    out = np.tensordot(u.reshape([2] * (2 * w)), t, axes=(list(range(w, 2 * w)), list(axes)))
-    return np.moveaxis(out, list(range(w)), list(axes))
 
 
 def einsum_depolarize(rho, n, pair, p):
@@ -147,6 +121,40 @@ def test_depolarize_matches_einsum_formula_bit_for_bit(n, pair, p):
     assert np.array_equal(r.rho, einsum_depolarize(rho, n, pair, p))
 
 
+@st.composite
+def monomial_circuits(draw):
+    """Up to eight monomial gates on random wires of a 1..5-wire circuit."""
+    n = draw(st.integers(1, 5))
+    kinds = st.sampled_from([k for k in MONOMIAL_KINDS if k.arity <= n])
+    body = []
+    for kind in draw(st.lists(kinds, max_size=8)):
+        body.append(Gate(kind, tuple(draw(st.permutations(range(n)))[: kind.arity])))
+    return Circuit(n, tuple(body))
+
+
+@given(monomial_circuits(), st.sampled_from((0.0, 0.3)), st.integers(0, 2**32 - 1))
+@example(Circuit(4, (Gate(gates.S, (2,)), Gate(gates.ISCZ, (3, 1)), Gate(gates.Y, (0,)),
+                     Gate(gates.CCX, (1, 0, 3)), Gate(gates.SDAG, (1,)))), 0.3, 1)
+@settings(max_examples=150, deadline=None)
+def test_apply_circuit_matches_gate_by_gate_tensordot_bit_for_bit(c, p, seed):
+    """apply_circuit runs one basis map per segment between noise sites; the
+    oracle applies each gate's tensor and each channel's formula in turn."""
+    n = c.n_wires
+    rng = np.random.default_rng(seed)
+    vec = random_vec(rng, 2**n)
+    assert np.array_equal(apply_circuit(PureState(n, vec), c).vec, tensordot_statevector(c, vec))
+
+    rho = random_rho(rng, n)
+    want = rho
+    for g in c.gates:
+        t = tensordot_apply(want.reshape([2] * (2 * n)), g.kind, g.wires)
+        t = tensordot_apply(t, g.kind, tuple(n + w for w in g.wires), conj=True)
+        want = t.reshape(2**n, 2**n)
+        if len(g.wires) >= 2:
+            want = einsum_depolarize(want, n, g.wires, p)
+    assert np.array_equal(apply_circuit(MixedState(n, rho), c, p).rho, want)
+
+
 def test_state_constructors_do_not_alias_caller_arrays():
     rng = np.random.default_rng(4)
     vec = random_vec(rng, 8)
@@ -179,12 +187,12 @@ def test_non_monomial_kinds_are_refused_with_the_verifiers_message():
         with pytest.raises(ValueError, match=named):
             mixed.apply_gate(g)
         assert np.array_equal(mixed.rho, np.outer(vec, vec.conj()))
+        # given a circuit, every entry point also names the gate's index
         c = Circuit(3, (Gate(gates.CZ, (0, 1)), g))
-        for state in (pure, mixed):
-            with pytest.raises(ValueError, match=named):
-                apply_circuit(state, c)
-        # given a circuit, the oracle and the verifier also name the gate's index
         indexed = rf"^not a SWAP-network circuit: gate 1 \({re.escape(str(g))}\) is not monomial$"
+        for state in (pure, mixed):
+            with pytest.raises(ValueError, match=indexed):
+                apply_circuit(state, c)
         for check in (circuit_unitary, basis_steps):
             with pytest.raises(ValueError, match=indexed):
                 check(c)
@@ -347,6 +355,23 @@ def test_density_cap_enforced():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_statevectors_stop_at_the_bit_matrix_bound():
+    # a basis map holds an n x 2**n bit matrix: 20 wires x 2**20 is over 2**24
+    state = PureState.basis(20, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^refusing exact check: 20 wires x 2\*\*20 basis"):
+            state.apply_gate(Gate(gates.X, (0,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the bit matrix alone would be 20 MiB
+    assert state.vec[1] == 1.0
+    largest = PureState.basis(19, 1)
+    largest.apply_gate(Gate(gates.X, (0,)))
+    assert largest.vec[2**18 + 1] == 1.0
 
 
 def test_depolarize_zero_strength_is_identity():
