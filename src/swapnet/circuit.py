@@ -1,8 +1,10 @@
 """Circuit IR: gate lists over numbered wires, coupling maps, metrics, JSON.
 
-A Circuit is immutable.  known_zero records wires promised to start in |0>;
-compilation passes may rely on that promise and verification restricts input
-columns to it.
+Gates are hash-consed: equal gates are one shared immutable object while any
+of them is alive, so each distinct gate is checked once however often it is
+emitted.  A Circuit is immutable.  known_zero records wires promised to start
+in |0>; compilation passes may rely on that promise and verification
+restricts input columns to it.
 
 JSON schema (stable interchange format):
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -35,19 +38,45 @@ class CircuitFormatError(ValueError):
     """Raised when circuit/coupling JSON is malformed; message names the field."""
 
 
-@dataclass(frozen=True)
+# Every live Gate, keyed by its kind's name and params and its wires (hashing
+# those is cheaper than hashing the kind); an entry goes when its gate does.
+_GATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, init=False)
 class Gate:
+    """A gate kind on distinct wires.  Equal gates are one shared immutable
+    object while any of them is alive: Gate(kind, wires) returns the live one
+    when there is one, and checks and stores a new one only otherwise."""
+
     kind: GateKind
     wires: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        if len(self.wires) != self.kind.arity:
-            raise ValueError(
-                f"{self.kind} expects {self.kind.arity} wires, got {self.wires}"
-            )
-        if len(set(self.wires)) != len(self.wires):
-            raise ValueError(f"repeated wire in {self.kind} on {self.wires}")
+    def __new__(cls, kind: GateKind, wires: Iterable[int]) -> "Gate":
+        if type(wires) is not tuple:
+            wires = tuple(wires)
+        key = (kind.name, kind.params, wires)
+        gate = _GATES.get(key)
+        if gate is not None:
+            return gate
+        as_ints = tuple(map(int, wires))
+        if as_ints != wires:  # e.g. "1" or 1.5: the int wires may have a live gate
+            return cls(kind, as_ints)
+        wires = as_ints
+        if len(wires) != kind.arity:
+            raise ValueError(f"{kind} expects {kind.arity} wires, got {wires}")
+        if len(set(wires)) != len(wires):
+            raise ValueError(f"repeated wire in {kind} on {wires}")
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "wires", wires)
+        _GATES[kind.name, kind.params, wires] = gate
+        return gate
+
+    def __reduce__(self):
+        # rebuilt through Gate() with no state to write back, so pickle (every
+        # protocol), copy and deepcopy hand back the live gate untouched
+        return Gate, (self.kind, self.wires)
 
     def __str__(self) -> str:
         return f"{self.kind} {' '.join(map(str, self.wires))}"
@@ -74,9 +103,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def extended(self, more: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n_wires, self.gates + tuple(more), self.known_zero)
 
 
 def phase_gates(counts: Iterable[int], wires: Iterable[int]) -> list[Gate]:
@@ -110,12 +136,6 @@ class CouplingMap:
         return CouplingMap(n, frozenset((i, i + 1) for i in range(n - 1)))
 
     @staticmethod
-    def ring(n: int) -> "CouplingMap":
-        if n < 3:
-            raise ValueError("ring needs n >= 3")
-        return CouplingMap(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-    @staticmethod
     def grid(rows: int, cols: int) -> "CouplingMap":
         edges = set()
         for r in range(rows):
@@ -126,12 +146,6 @@ class CouplingMap:
                 if r + 1 < rows:
                     edges.add((w, w + cols))
         return CouplingMap(rows * cols, frozenset(edges))
-
-    @staticmethod
-    def complete(n: int) -> "CouplingMap":
-        return CouplingMap(
-            n, frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-        )
 
 
 @dataclass(frozen=True)
@@ -151,33 +165,36 @@ class Metrics:
         )
 
 
-def layers(circuit: Circuit) -> list[list[Gate]]:
-    """Greedy as-soon-as-possible layering: each gate lands one past the busiest wire it touches."""
-    frontier = [0] * circuit.n_wires
-    out: list[list[Gate]] = []
-    for g in circuit.gates:
-        layer = max(frontier[w] for w in g.wires)
-        if layer == len(out):
-            out.append([])
-        out[layer].append(g)
-        for w in g.wires:
-            frontier[w] = layer + 1
-    return out
-
-
 def metrics(circuit: Circuit) -> Metrics:
-    by_arity = {1: 0, 2: 0, 3: 0}
+    """Gate counts and depths in one pass over a per-wire frontier: each gate
+    lands one layer past the busiest wire it touches (greedy ASAP layering),
+    and the two-qubit depth counts the layers holding a multi-wire gate."""
+    frontier = [0] * circuit.n_wires
+    by_arity = [0, 0, 0, 0]
+    multi_wire = bytearray(len(circuit.gates) + 1)  # 1 at each layer with such a gate
     for g in circuit.gates:
-        by_arity[len(g.wires)] += 1
-    lays = layers(circuit)
-    two_q_depth = sum(1 for lay in lays if any(len(g.wires) >= 2 for g in lay))
+        wires = g.wires
+        arity = len(wires)
+        by_arity[arity] += 1
+        if arity == 1:
+            frontier[wires[0]] += 1
+        elif arity == 2:
+            a, b = wires
+            fa, fb = frontier[a], frontier[b]
+            layer = frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
+            multi_wire[layer] = 1
+        else:
+            layer = max([frontier[w] for w in wires]) + 1
+            for w in wires:
+                frontier[w] = layer
+            multi_wire[layer] = 1
     return Metrics(
         total_gates=len(circuit.gates),
         single_qubit_gates=by_arity[1],
         two_qubit_gates=by_arity[2],
         three_qubit_gates=by_arity[3],
-        depth=len(lays),
-        two_qubit_depth=two_q_depth,
+        depth=max(frontier),
+        two_qubit_depth=multi_wire.count(1),
     )
 
 

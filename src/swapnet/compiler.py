@@ -212,29 +212,6 @@ def compile_ext1(path: SwapPath, known_zero: frozenset[int] | set[int]) -> Compi
     return CompileResult(circuit, ledger, frozenset(zeros))
 
 
-def _check_coupling(path: SwapPath, coupling: CouplingMap) -> None:
-    if coupling.n_wires != path.n_wires:
-        raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
-
-
-def legal_cz_slots(path: SwapPath, coupling: CouplingMap, swap_index: int) -> list[int]:
-    """All slots t (CZ after the first t iSWAPs) where swap_index's two values
-    sit on a coupled edge.  Always contains swap_index and swap_index + 1 when
-    the path runs on the map's edges.  A plain scan: compile_ext2's oracle."""
-    _check_coupling(path, coupling)
-    m = len(path.pairs)
-    if not 0 <= swap_index < m:
-        raise ValueError(f"swap index {swap_index} outside 0..{m - 1}")
-    held = SwapPath(path.n_wires, path.pairs[:swap_index]).value_at()
-    wires = [held[w] for w in path.pairs[swap_index]]  # each value starts on its own wire
-    slots = [0] if coupling.has_edge(*wires) else []
-    for t, (a, b) in enumerate(path.pairs, 1):
-        wires = [b if w == a else a if w == b else w for w in wires]
-        if coupling.has_edge(*wires):
-            slots.append(t)
-    return slots
-
-
 def _coupled_spans(path: SwapPath, coupling: CouplingMap) -> tuple[list, dict, dict]:
     """The two values each swap exchanges and, for each value pair that ever
     sits on an edge, the (slot, sorted wires) of the first and of the last slot
@@ -272,7 +249,8 @@ def compile_ext2(
     chosen legal slot.  The phase layer is identical to compile_iscz's."""
     if policy not in ("earliest", "latest"):
         raise ValueError(f"policy must be 'earliest' or 'latest', got {policy!r}")
-    _check_coupling(path, coupling)
+    if coupling.n_wires != path.n_wires:
+        raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
     moved, first, last = _coupled_spans(path, coupling)
     chosen = first if policy == "earliest" else last
     ledger = PhaseLedger(path.n_wires)
@@ -287,9 +265,13 @@ def compile_ext2(
         pending.append(PendingCZ(j, values, *span))
 
     # the CZs of slot t go before iSWAP t, in wire order
-    keyed = [((p.slot, 0, p.wires), Gate(gates.CZ, p.wires)) for p in pending]
-    keyed += [((t, 1), Gate(gates.ISWAP, pair)) for t, pair in enumerate(path.pairs)]
-    body = [g for _, g in sorted(keyed, key=lambda kg: kg[0])]
+    by_slot: list[list[tuple[int, int]]] = [[] for _ in range(len(path.pairs) + 1)]
+    for p in pending:
+        by_slot[p.slot].append(p.wires)
+    body = [Gate(gates.CZ, w) for w in sorted(by_slot[0])]
+    for pair, cz_wires in zip(path.pairs, by_slot[1:]):
+        body.append(Gate(gates.ISWAP, pair))
+        body += [Gate(gates.CZ, w) for w in sorted(cz_wires)]
     circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()))
     return CompileResult(circuit, ledger, pending=tuple(pending))
 

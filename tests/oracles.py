@@ -1,13 +1,66 @@
-"""Independent amplitude oracles for the simulator's one basis-map engine.
+"""Independent oracles for the tests: plain scans and dense products that the
+library computes another, faster way.
 
-Both build every amplitude from `gate_matrix`, never from the monomial
-tables `propagate_basis` reads, so a test that compares the engine with them
-compares two computations, not one engine with itself.
+The amplitude oracles build every amplitude from `gate_matrix`, never from
+the monomial tables `propagate_basis` reads, so a test that compares the
+engine with them compares two computations, not one engine with itself.
+`layers` is the oracle for `metrics`, `legal_cz_slots` for `compile_ext2`'s
+one-sweep slot search; `extended`, `ring` and `complete` build test inputs.
 """
 
 import numpy as np
 
+from swapnet.circuit import Circuit, CouplingMap
+from swapnet.compiler import SwapPath
 from swapnet.gates import gate_matrix
+
+
+def layers(circuit):
+    """Greedy as-soon-as-possible layering: each gate lands one past the busiest wire it touches."""
+    frontier = [0] * circuit.n_wires
+    out = []
+    for g in circuit.gates:
+        layer = max(frontier[w] for w in g.wires)
+        if layer == len(out):
+            out.append([])
+        out[layer].append(g)
+        for w in g.wires:
+            frontier[w] = layer + 1
+    return out
+
+
+def extended(circuit, more):
+    """The circuit with the gates of more appended; the original is unchanged."""
+    return Circuit(circuit.n_wires, circuit.gates + tuple(more), circuit.known_zero)
+
+
+def ring(n):
+    if n < 3:
+        raise ValueError("ring needs n >= 3")
+    return CouplingMap(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+def complete(n):
+    return CouplingMap(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def legal_cz_slots(path, coupling, swap_index):
+    """All slots t (CZ after the first t iSWAPs) where swap_index's two values
+    sit on a coupled edge.  Always contains swap_index and swap_index + 1 when
+    the path runs on the map's edges.  A plain scan over every slot."""
+    if coupling.n_wires != path.n_wires:
+        raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
+    m = len(path.pairs)
+    if not 0 <= swap_index < m:
+        raise ValueError(f"swap index {swap_index} outside 0..{m - 1}")
+    held = SwapPath(path.n_wires, path.pairs[:swap_index]).value_at()
+    wires = [held[w] for w in path.pairs[swap_index]]  # each value starts on its own wire
+    slots = [0] if coupling.has_edge(*wires) else []
+    for t, (a, b) in enumerate(path.pairs, 1):
+        wires = [b if w == a else a if w == b else w for w in wires]
+        if coupling.has_edge(*wires):
+            slots.append(t)
+    return slots
 
 
 def dense_unitary(circuit):

@@ -41,6 +41,8 @@ from swapnet.qram.counts import count_gates, merged_pair_count
 from swapnet.qram.schedule import pipeline_schedule
 from swapnet.qram.verify import verify_qram
 
+from oracles import ring
+
 TOL_ALGEBRA = 1e-12
 TOL_EQUIV = 1e-10
 TOL_QRAM = 1e-9
@@ -119,7 +121,7 @@ def test_criterion_3_property_suite():
         n = int(rng.integers(2, 7))
         maps = [CouplingMap.line(n)]
         if n >= 3:
-            maps.append(CouplingMap.ring(n))
+            maps.append(ring(n))
         if n in (4, 6):
             maps.append(CouplingMap.grid(2, n // 2))
         cmap = maps[int(rng.integers(len(maps)))]

@@ -1,9 +1,16 @@
-"""Circuit IR: validation, metrics, coupling maps, JSON round-trips."""
+"""Circuit IR: the shared gate table, validation, metrics (against the layering
+oracle in tests/oracles.py), coupling maps, JSON round-trips."""
 
+import copy
+import dataclasses
+import gc
 import json
+import pickle
+import weakref
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from swapnet import gates
 from swapnet.circuit import (
@@ -11,16 +18,19 @@ from swapnet.circuit import (
     CircuitFormatError,
     CouplingMap,
     Gate,
+    Metrics,
     circuit_from_dict,
     circuit_to_dict,
     coupling_from_dict,
     coupling_to_dict,
     dump_json,
-    layers,
     load_json,
     metrics,
     validate,
 )
+from swapnet import circuit as circuit_module
+
+from oracles import complete, extended, layers, ring
 
 
 def iscz(a, b):
@@ -34,6 +44,73 @@ def test_gate_rejects_wrong_arity_and_repeats():
         Gate(gates.CZ, (1, 1))
     with pytest.raises(ValueError):
         Gate(gates.CSWAP, (0, 2, 2))
+
+
+@pytest.mark.parametrize("kind, wires", [
+    (gates.CZ, (0, 1)), (gates.X, (3,)), (gates.CCX, (2, 0, 1)), (gates.fsim(0.25, 1.5), (4, 2)),
+])
+def test_equal_gates_are_one_object(kind, wires):
+    g = Gate(kind, wires)
+    assert Gate(kind, list(wires)) is g
+    assert Gate(kind, tuple(np.int64(w) for w in wires)) is g
+    assert Gate(kind, np.array(wires)) is g
+    assert all(type(w) is int for w in Gate(kind, np.array(wires)).wires)
+    assert Gate(gates.GateKind(kind.name, kind.params), wires) is g  # an equal kind, not the same one
+
+
+def _stored(kind, wires):
+    return {key: g for key, g in circuit_module._GATES.items() if g.kind == kind and g.wires == wires}
+
+
+@pytest.mark.parametrize("kind, wires, message", [
+    (gates.CZ, (1, 1), r"^repeated wire in cz on \(1, 1\)$"),
+    (gates.CZ, (7,), r"^cz expects 2 wires, got \(7,\)$"),
+    (gates.CSWAP, (5, 6, 5), r"^repeated wire in cswap on \(5, 6, 5\)$"),
+    (gates.X, (8, 9), r"^x expects 1 wires, got \(8, 9\)$"),
+])
+def test_refused_gates_raise_every_time_and_are_never_stored(kind, wires, message):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message) as refused:
+            Gate(kind, wires)
+        # refused holds the failed call's frame, so a gate it had stored would still be live
+        assert _stored(kind, wires) == {}
+
+
+def test_gates_stay_frozen():
+    g = Gate(gates.CZ, (0, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.wires = (1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.kind = gates.X
+    assert g.wires == (0, 1) and Gate(gates.CZ, (0, 1)).wires == (0, 1)
+    assert repr(g) == "Gate(kind=GateKind(name='cz', params=()), wires=(0, 1))"
+    assert str(g) == "cz 0 1" and hash(g) == hash((gates.CZ, (0, 1)))
+
+
+def test_pickle_and_copy_return_the_live_gate():
+    g = Gate(gates.fsim(0.5, 0.25), (2, 0))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(g, protocol)) is g
+    assert copy.copy(g) is g
+    assert copy.deepcopy(g) is g
+    c = Circuit(3, (g, Gate(gates.CZ, (0, 1))))
+    kinds = [x.kind for x in c.gates]
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert all(a is b for a, b in zip(copy.deepcopy(c).gates, c.gates))
+    # nothing is written back into the live gates: their kinds are the same objects
+    assert all(x.kind is k for x, k in zip(c.gates, kinds))
+
+
+def test_the_table_lets_dead_gates_go():
+    kind = gates.zzevol(0.123456789)  # no other test builds this gate
+    g = Gate(kind, (11, 12))
+    ref = weakref.ref(g)
+    assert len(_stored(kind, (11, 12))) == 1
+    del g
+    gc.collect()
+    assert ref() is None
+    assert _stored(kind, (11, 12)) == {}
+    assert Gate(kind, (11, 12)).wires == (11, 12)  # rebuilt and checked afresh
 
 
 def test_circuit_rejects_out_of_range_wires():
@@ -81,14 +158,14 @@ def test_layers_groups_disjoint_gates():
 
 
 gate_pool = st.sampled_from(
-    [gates.X, gates.H, gates.S, gates.CZ, gates.CNOT, gates.ISCZ, gates.CCZ]
+    [gates.X, gates.H, gates.S, gates.CZ, gates.CNOT, gates.ISCZ, gates.CCZ, gates.CSWAP]
 )
 
 
 @st.composite
-def small_circuits(draw):
-    n = draw(st.integers(2, 5))
-    n_gates = draw(st.integers(0, 12))
+def small_circuits(draw, max_gates=12):
+    n = draw(st.integers(1, 5))
+    n_gates = draw(st.integers(0, max_gates))
     out = []
     for _ in range(n_gates):
         kind = draw(gate_pool.filter(lambda k: k.arity <= n))
@@ -97,6 +174,22 @@ def small_circuits(draw):
         )
         out.append(Gate(kind, wires))
     return Circuit(n, tuple(out))
+
+
+@given(small_circuits(max_gates=40))
+@example(Circuit(1))
+@example(Circuit(4))
+def test_property_metrics_match_the_layering_oracle(c):
+    lays = layers(c)
+    arity = [len(g.wires) for g in c.gates]
+    assert metrics(c) == Metrics(
+        total_gates=len(c.gates),
+        single_qubit_gates=arity.count(1),
+        two_qubit_gates=arity.count(2),
+        three_qubit_gates=arity.count(3),
+        depth=len(lays),
+        two_qubit_depth=sum(1 for lay in lays if any(len(g.wires) >= 2 for g in lay)),
+    )
 
 
 @given(small_circuits())
@@ -126,7 +219,7 @@ def test_layering_is_valid_and_greedy(c):
 
 def test_extended_appends_without_mutating():
     c = Circuit(3, (iscz(0, 1),), known_zero={2})
-    c2 = c.extended([Gate(gates.X, (2,))])
+    c2 = extended(c, [Gate(gates.X, (2,))])
     assert len(c) == 1 and len(c2) == 2
     assert c2.known_zero == frozenset({2})
 
@@ -134,13 +227,13 @@ def test_extended_appends_without_mutating():
 def test_coupling_factories():
     line = CouplingMap.line(4)
     assert line.edges == frozenset({(0, 1), (1, 2), (2, 3)})
-    ring = CouplingMap.ring(4)
-    assert (0, 3) in ring.edges and len(ring.edges) == 4
+    ring4 = ring(4)
+    assert (0, 3) in ring4.edges and len(ring4.edges) == 4
     grid = CouplingMap.grid(2, 3)
     assert grid.n_wires == 6
     assert len(grid.edges) == 7  # 4 horizontal + 3 vertical
     assert grid.has_edge(0, 3) and grid.has_edge(1, 2) and not grid.has_edge(0, 4)
-    comp = CouplingMap.complete(5)
+    comp = complete(5)
     assert len(comp.edges) == 10
 
 
@@ -152,7 +245,7 @@ def test_coupling_edge_symmetry_and_errors():
     with pytest.raises(ValueError):
         CouplingMap(3, frozenset({(0, 3)}))
     with pytest.raises(ValueError):
-        CouplingMap.ring(2)
+        ring(2)
 
 
 def test_validate_flags_non_edges():

@@ -68,6 +68,20 @@ def test_verify_fails_on_wrong_circuit(capsys, tmp_path, path_file):
     assert "NOT equivalent" in err
 
 
+@pytest.mark.parametrize("mode, extra, line", [
+    ("iscz", [], "mode=iscz swaps=4 gates=8 1q=4 2q=4 3q=0 depth=4 2q_depth=3 corrections=4"),
+    ("ext2", ["--coupling", "line.json"],
+     "mode=ext2 swaps=4 gates=12 1q=4 2q=8 3q=0 depth=7 2q_depth=6 corrections=4"),
+])
+def test_compile_metrics_line_is_pinned(capsys, tmp_path, monkeypatch, mode, extra, line):
+    # the same documents and lines as the console-script step in CI
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text('{"n": 4, "path": [[0, 1], [2, 3], [1, 2], [0, 1]]}')
+    (tmp_path / "line.json").write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+    rc, out, err = run(capsys, "compile", "--path", "p.json", "--mode", mode, *extra, "--out", "c.json")
+    assert (rc, out, err) == (0, "", line + "\n")
+
+
 def test_compile_ext1_and_ext2(capsys, tmp_path, path_file):
     rc, out, _ = run(
         capsys, "compile", "--path", path_file, "--mode", "ext1", "--known-zero", "2"

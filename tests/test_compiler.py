@@ -31,7 +31,6 @@ from swapnet.compiler import (
     compile_ext2,
     compile_iscz,
     ledger_by_conjugation,
-    legal_cz_slots,
     reference_permutation_unitary,
     swap_path_from_dict,
     swap_path_to_dict,
@@ -41,7 +40,7 @@ from swapnet.compiler import (
 from swapnet.netbench import random_permutation, route_linear
 from swapnet.sim import basis_bits, basis_steps, circuit_unitary, propagate_basis
 
-from oracles import dense_unitary
+from oracles import complete, dense_unitary, extended, legal_cz_slots, ring
 
 WORKED_PATH = SwapPath(5, ((0, 1), (2, 3), (1, 2), (3, 4)))
 
@@ -385,9 +384,9 @@ def edge_walks(draw):
     returns to its starting wire."""
     coupling = draw(st.one_of(
         st.integers(2, 7).map(CouplingMap.line),
-        st.integers(3, 7).map(CouplingMap.ring),
+        st.integers(3, 7).map(ring),
         st.tuples(st.integers(1, 3), st.integers(2, 3)).map(lambda rc: CouplingMap.grid(*rc)),
-        st.integers(2, 5).map(CouplingMap.complete),
+        st.integers(2, 5).map(complete),
     ))
     edges = sorted(coupling.edges)
     steps = st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=30)
@@ -526,7 +525,7 @@ def test_non_monomial_circuits_take_the_dense_path(extra, constraints):
     """No path takes such circuits any more, the dense one included: the
     verifier, the engine and the dense oracle (circuit_unitary) all refuse
     them with one message naming the first gate outside the set."""
-    circuit = compile_iscz(WORKED_PATH).circuit.extended(extra)
+    circuit = extended(compile_iscz(WORKED_PATH).circuit, extra)
     first = len(circuit) - len(extra)
     named = rf"^not a SWAP-network circuit: gate {first} \({re.escape(str(extra[0]))}\) is not "
     with pytest.raises(ValueError, match=named):
@@ -539,7 +538,7 @@ def test_non_monomial_circuits_take_the_dense_path(extra, constraints):
 def test_non_monomial_circuits_are_refused_before_any_input_exists():
     # 19 wires x 2**19 inputs is under the engine's bound: building them took 99 MiB
     path = route_linear(random_permutation(19, np.random.default_rng(19)))
-    circuit = compile_iscz(path).circuit.extended([Gate(gates.fsim(0.3, 0.2), (0, 1))])
+    circuit = extended(compile_iscz(path).circuit, [Gate(gates.fsim(0.3, 0.2), (0, 1))])
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"^not a SWAP-network circuit: gate \d+ \(fsim"):
@@ -554,10 +553,9 @@ def test_exact_deviations_are_exact():
     # |i - 1| = sqrt 2 and |-1 - 1| = 2 exactly, 1 for a wrong output index
     path = SwapPath(2, ((0, 1),))
     assert verify_equivalence(path, Circuit(2, (Gate(gates.ISWAP, (0, 1)),))) == np.sqrt(2)
-    assert verify_equivalence(path, compile_iscz(path).circuit.extended(
-        [Gate(gates.Z, (0,))])) == 2.0
+    assert verify_equivalence(path, extended(compile_iscz(path).circuit, [Gate(gates.Z, (0,))])) == 2.0
     assert verify_equivalence(path, Circuit(2)) == 1.0
     tpath = SwapPath(3, ((0, 1),))
-    circuit = compile_iscz(tpath).circuit.extended([Gate(gates.CCX, (0, 1, 2))] * 2)
+    circuit = extended(compile_iscz(tpath).circuit, [Gate(gates.CCX, (0, 1, 2))] * 2)
     assert verify_equivalence(tpath, circuit) == 0.0
     assert dense_deviation(tpath, circuit, frozenset()) == 0.0  # ccx is exact on both sides

@@ -27,7 +27,7 @@ from swapnet.qram.layout import TreeLayout
 from swapnet.sim import PureState
 from swapnet.qram.verify import verify_circuit_matches, verify_qram
 
-from oracles import tensordot_statevector
+from oracles import extended, tensordot_statevector
 
 TOL = 1e-9
 SMALL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -275,7 +275,7 @@ def test_non_monomial_circuits_are_refused():
     for extra in (Gate(gates.fsim(0.4, 0.9), tree), Gate(gates.H, (tree[0],))):
         named = rf"^not a SWAP-network circuit: gate {len(circuit)} \({extra.kind.name}"
         with pytest.raises(ValueError, match=named):
-            verify_circuit_matches(spec, circuit.extended([extra]))
+            verify_circuit_matches(spec, extended(circuit, [extra]))
     # a Toffoli written as h, ccz, h is refused at its first h
     i = next(i for i, g in enumerate(circuit.gates) if g.kind == gates.CCX)
     h = Gate(gates.H, circuit.gates[i].wires[2:])

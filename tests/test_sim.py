@@ -37,7 +37,7 @@ from swapnet.sim import (
     random_product_state,
 )
 
-from oracles import dense_unitary, tensordot_apply, tensordot_statevector
+from oracles import dense_unitary, extended, tensordot_apply, tensordot_statevector
 
 TOL = 1e-12
 
@@ -220,7 +220,7 @@ def test_propagated_phases_are_powers_of_i_mod_4():
     c = Circuit(2, (Gate(gates.S, (1,)),) * 3)
     bits, phase = propagate_basis(basis_steps(c), basis_bits(np.arange(4), 2))
     assert phase.tolist() == [0, 3, 0, 3]
-    steps = basis_steps(c.extended([Gate(gates.S, (1,))] * 257))
+    steps = basis_steps(extended(c, [Gate(gates.S, (1,))] * 257))
     _, phase = propagate_basis(steps, basis_bits(np.arange(4), 2))
     assert phase.tolist() == [0, 0, 0, 0]  # 260 quarter turns wrap exactly
 
@@ -232,7 +232,7 @@ def test_basis_deviation_is_exact():
         assert basis_deviation(basis_steps(c), expected, expected) == dev == abs(1j**power - 1)
     swapped = Circuit(2, (Gate(gates.SWAP, (0, 1)),))  # 01 and 10 land elsewhere
     assert basis_deviation(basis_steps(swapped), expected, expected) == 1.0
-    minus = swapped.extended([Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
+    minus = extended(swapped, [Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
     assert basis_deviation(basis_steps(minus), expected, expected) == 2.0
 
 
