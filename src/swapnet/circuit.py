@@ -38,6 +38,16 @@ class CircuitFormatError(ValueError):
     """Raised when circuit/coupling JSON is malformed; message names the field."""
 
 
+def integral(value: Any, name: str) -> int:
+    """value as an int when it equals one (1.0 and True are 1), else a ValueError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # Every live Gate, keyed by its kind's name and params and its wires (hashing
 # those is cheaper than hashing the kind); an entry goes when its gate does.
 _GATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -59,10 +69,7 @@ class Gate:
         gate = _GATES.get(key)
         if gate is not None:
             return gate
-        as_ints = tuple(map(int, wires))
-        if as_ints != wires:  # e.g. "1" or 1.5: the int wires may have a live gate
-            return cls(kind, as_ints)
-        wires = as_ints
+        wires = tuple(integral(w, "wire") for w in wires)  # as the lookup: 1.0 is wire 1
         if len(wires) != kind.arity:
             raise ValueError(f"{kind} expects {kind.arity} wires, got {wires}")
         if len(set(wires)) != len(wires):
@@ -89,8 +96,9 @@ class Circuit:
     known_zero: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_wires", integral(self.n_wires, "n_wires"))
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "known_zero", frozenset(self.known_zero))
+        object.__setattr__(self, "known_zero", frozenset(integral(w, "wire") for w in self.known_zero))
         if self.n_wires < 1:
             raise ValueError("circuit needs at least one wire")
         for g in self.gates:
@@ -118,7 +126,9 @@ class CouplingMap:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        norm = frozenset((min(a, b), max(a, b)) for a, b in self.edges)
+        object.__setattr__(self, "n_wires", integral(self.n_wires, "n_wires"))
+        pairs = ((integral(a, "edge wire"), integral(b, "edge wire")) for a, b in self.edges)
+        norm = frozenset((min(a, b), max(a, b)) for a, b in pairs)
         object.__setattr__(self, "edges", norm)
         if self.n_wires < 1:
             raise ValueError(f"coupling map needs at least one wire, got n={self.n_wires}")
@@ -268,10 +278,6 @@ def _gate_from_dict(entry: Any, name: str) -> Gate:
         raise CircuitFormatError(f"{name}: {e}") from None
 
 
-def coupling_to_dict(coupling: CouplingMap) -> dict[str, Any]:
-    return {"n": coupling.n_wires, "edges": sorted(list(e) for e in coupling.edges)}
-
-
 def coupling_from_dict(data: Any) -> CouplingMap:
     if not isinstance(data, dict):
         raise CircuitFormatError("coupling document must be a JSON object")
@@ -285,10 +291,9 @@ def coupling_from_dict(data: Any) -> CouplingMap:
         raise CircuitFormatError(f"bad coupling document: {e}") from None
 
 
-def dump_json(obj: Circuit | CouplingMap, path: str | None = None) -> None:
-    """Write the object's document, indented, to path or else to stdout."""
-    to_dict = circuit_to_dict if isinstance(obj, Circuit) else coupling_to_dict
-    doc = json.dumps(to_dict(obj), indent=1) + "\n"
+def dump_json(circuit: Circuit, path: str | None = None) -> None:
+    """Write the circuit's document, indented, to path or else to stdout."""
+    doc = json.dumps(circuit_to_dict(circuit), indent=1) + "\n"
     if path is None:
         sys.stdout.write(doc)
     else:

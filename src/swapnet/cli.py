@@ -32,7 +32,7 @@ from .compiler import (
     verify_equivalence,
 )
 from .gates import ARITY, GateKind, gate_matrix
-from .netbench import BenchConfig, check_jobs, run_benchmark, summary_text, write_csv, write_json
+from .netbench import BenchConfig, check_jobs, run_benchmark, summary_text, write_csv
 from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
 from .qram.layout import TreeLayout
@@ -92,7 +92,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
                 raise CircuitFormatError("--mode ext2 needs --coupling MAP.json")
             coupling = load_json(args.coupling, coupling_from_dict)
             res = compile_ext2(path, coupling, args.policy or "earliest")
-        circuit, corrections = res.circuit, res.n_corrections
+        circuit, corrections = res.circuit, res.ledger.n_corrections()
     dump_json(circuit, args.out)
     met = metrics(circuit)
     print(
@@ -110,23 +110,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = BenchConfig(
-        sizes=_parse_sizes(args.sizes),
-        trials=args.trials,
-        p=args.p,
-        seed=args.seed,
-    )
-    check_jobs(args.jobs)  # before an output file is created
-    with contextlib.ExitStack() as stack:  # open both outputs before any trial runs
-        # append mode keeps an existing file's bytes until both outputs are open
-        outs = [stack.enter_context(open(f, "a")) if f else None for f in (args.csv, args.json)]
-        for out in filter(None, outs):
-            out.truncate(0)
-        csv_out, json_out = outs
+    config = BenchConfig(sizes=_parse_sizes(args.sizes), trials=args.trials, p=args.p, seed=args.seed)
+    check_jobs(args.jobs)  # before the output is created, which is before any trial runs
+    with open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout) as out:
         records = run_benchmark(config, jobs=args.jobs)
-        write_csv(records, csv_out or sys.stdout)
-        if json_out:
-            write_json(records, json_out)
+        write_csv(records, out)
     print(summary_text(records), file=sys.stderr)
     return 0
 
@@ -248,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=float, default=0.02, help="two-qubit depolarizing strength")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--csv", help="write records CSV here instead of stdout")
-    b.add_argument("--json", help="also write records JSON here")
     b.add_argument("--jobs", type=int, default=1)
     b.set_defaults(func=cmd_bench)
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import gates
 from .circuit import (
-    MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, phase_gates
+    MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, integral,
+    phase_gates,
 )
 from .sim import (
     basis_bits, basis_deviation, basis_index, basis_steps, check_basis_cap, check_unitary_cap
@@ -52,7 +53,8 @@ class SwapPath:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = tuple((int(a), int(b)) for a, b in self.pairs)
+        object.__setattr__(self, "n_wires", integral(self.n_wires, "n_wires"))
+        norm = tuple((integral(a, "pair wire"), integral(b, "pair wire")) for a, b in self.pairs)
         object.__setattr__(self, "pairs", norm)
         if self.n_wires < 1:
             raise ValueError(f"swap path needs at least one wire, got n={self.n_wires}")
@@ -149,10 +151,6 @@ class CompileResult:
     final_zeros: frozenset[int] = frozenset()  # filled by compile_ext1
     pending: tuple[PendingCZ, ...] = ()  # filled by compile_ext2
 
-    @property
-    def n_corrections(self) -> int:
-        return self.ledger.n_corrections()
-
 
 def compile_iscz(path: SwapPath) -> CompileResult:
     """Every SWAP becomes one fused iSCZ; one trailing phase layer."""
@@ -188,7 +186,7 @@ def compile_cnot_baseline(path: SwapPath) -> Circuit:
 
 def compile_ext1(path: SwapPath, known_zero: frozenset[int] | set[int]) -> CompileResult:
     """Zero-aware compilation: SWAPs touching a tracked |0> drop their CZ."""
-    known_zero = frozenset(known_zero)
+    known_zero = frozenset(integral(w, "known-zero wire") for w in known_zero)
     for w in known_zero:
         if not 0 <= w < path.n_wires:
             raise ValueError(f"known-zero wire {w} outside 0..{path.n_wires - 1}")
@@ -312,6 +310,7 @@ def verify_equivalence(
     if circuit.n_wires != path.n_wires:
         raise ValueError(f"circuit has {circuit.n_wires} wires, path {path.n_wires}")
     n = path.n_wires
+    constraints = {integral(w, "constraint wire") for w in constraints}
     if any(not 0 <= w < n for w in constraints):
         raise ValueError(f"constraint wires {sorted(constraints)} not all in 0..{n - 1}")
     free = [w for w in range(n) if w not in constraints]

@@ -1,4 +1,4 @@
-"""Gate vocabulary: exact unitaries, Pauli expansions, interaction evolutions.
+"""Gate vocabulary: exact unitaries, single-qubit Paulis, interaction evolutions.
 
 Wire-order convention, fixed package-wide: the first operand of a gate is the
 most significant bit of its matrix index, so a two-qubit matrix acts on
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -181,31 +180,3 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
 
 
 PAULI_1Q = {"I": _FIXED["i"], "X": _FIXED["x"], "Y": _FIXED["y"], "Z": _FIXED["z"]}
-
-
-@dataclass(frozen=True)
-class PauliExpansion:
-    """Two-qubit operator as sum of coefficients times Pauli products P (x) Q."""
-
-    coeffs: dict[str, complex]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for label, c in self.coeffs.items():
-            out += c * np.kron(PAULI_1Q[label[0]], PAULI_1Q[label[1]])
-        return out
-
-    def nonzero(self) -> dict[str, complex]:
-        return {k: v for k, v in self.coeffs.items() if abs(v) > 1e-12}
-
-
-def pauli_expansion(kind: GateKind) -> PauliExpansion:
-    """Expand a two-qubit gate over the 16 Pauli products, coeff = Tr[(P(x)Q)^dag M]/4."""
-    if kind.arity != 2:
-        raise ValueError(f"pauli_expansion needs a two-qubit gate, got {kind}")
-    m = gate_matrix(kind)
-    coeffs = {}
-    for a, b in product("IXYZ", repeat=2):
-        p = np.kron(PAULI_1Q[a], PAULI_1Q[b])
-        coeffs[a + b] = complex(np.trace(p.conj().T @ m)) / 4
-    return PauliExpansion(coeffs)

@@ -25,17 +25,16 @@ not depend on execution order and a parallel run reproduces a serial one.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .circuit import Circuit, metrics
+from .circuit import Circuit, integral, metrics
 from .compiler import (
     SwapPath,
     apply_reference_permutation,
@@ -57,7 +56,9 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(integral(n, "size") for n in self.sizes))
+        object.__setattr__(self, "trials", integral(self.trials, "trials"))
+        object.__setattr__(self, "seed", integral(self.seed, "seed"))
         if not self.sizes or any(not 2 <= n <= DENSITY_WIRE_CAP for n in self.sizes):
             raise ValueError(f"sizes must be a nonempty list of 2 <= n <= {DENSITY_WIRE_CAP}")
         if len(set(self.sizes)) != len(self.sizes):
@@ -325,11 +326,6 @@ def write_csv(records: Iterable[TrialRecord], out: TextIO) -> None:
         row = [getattr(r, c) for c in CSV_COLUMNS]
         row[-1] = "-".join(map(str, r.permutation))
         w.writerow(row)
-
-
-def write_json(records: Iterable[TrialRecord], out: TextIO) -> None:
-    json.dump([asdict(r) for r in records], out, indent=1)
-    out.write("\n")
 
 
 def summarize(records: list[TrialRecord]) -> list[dict[str, Any]]:

@@ -14,11 +14,14 @@ C-iSWAP), bidirectional ones by deferring the CZ onto the bus wires.  Each
 iSWAP crossing multiplies the moving bit b by i^b, which single-qubit phase
 gates on the bus undo: (S^dag)^h for h crossings, applied while the wire holds
 the affected value (before the copy for the downward data leg, at the end for
-the upward leg and the address bits).  A bidirectional exchange of bits x, y
-additionally leaves (-1)^(x*y); its x*z part is cancelled by CZs between bus
-data wires at the start (both still hold their initial values) and its
-memory-dependent part by diagonal parity gates at the leaves right before the
-affected word's copy, using per-word parity cells precomputed from the memory.
+the upward leg and the address bits).  The tree fixes every route, so h is a
+closed form: n - 1 each way for a data bit, 2(l + 1) for address bit l >= 1
+(l Routings and an Internal-SWAP each way), none for bit 0.  A bidirectional
+exchange of bits x, y additionally leaves (-1)^(x*y); its x*z part is
+cancelled by CZs between bus data wires at the start (both still hold their
+initial values) and its memory-dependent part by diagonal parity gates at the
+leaves right before the affected word's copy, using per-word parity cells
+precomputed from the memory.
 
 Gate-family tallies are recorded by construction role as the builder emits,
 never by scanning gate kinds, so decompositions (e.g. the ccx Toffolis
@@ -27,13 +30,13 @@ inside a multi-controlled X) cannot leak into protocol-level counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable
 
 from .. import gates
 from ..circuit import (
-    MAX_WIRES, Circuit, CircuitFormatError, Gate, as_bool, as_int, as_list, phase_gates
+    MAX_WIRES, Circuit, CircuitFormatError, Gate, as_bool, as_int, as_list, integral, phase_gates
 )
 from .layout import TreeLayout
 from .schedule import pipeline_schedule, word_chain
@@ -54,7 +57,9 @@ class QramSpec:
     pipeline: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "memory", tuple(int(v) for v in self.memory))
+        object.__setattr__(self, "n", integral(self.n, "n"))
+        object.__setattr__(self, "k", integral(self.k, "k"))
+        object.__setattr__(self, "memory", tuple(integral(v, "memory value") for v in self.memory))
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 and k >= 1")
         if len(self.memory) != 2**self.n:
@@ -67,16 +72,6 @@ class QramSpec:
 
     def bit(self, cell: int, word: int) -> int:
         return (self.memory[cell] >> (self.k - 1 - word)) & 1
-
-
-def qram_spec_to_dict(spec: QramSpec) -> dict[str, Any]:
-    return {
-        "n": spec.n,
-        "k": spec.k,
-        "memory": list(spec.memory),
-        "extensions": spec.extensions,
-        "pipeline": spec.pipeline,
-    }
 
 
 def qram_spec_from_dict(data: Any) -> QramSpec:
@@ -110,9 +105,6 @@ class QramBuildRecord:
     parity_correction_events: int = 0
     extra_memory_cells: int = 0
     phase_correction_gates: int = 0
-    addr_hops: list[int] = field(default_factory=list)
-    data_hops_down: list[int] = field(default_factory=list)
-    data_hops_up: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -131,11 +123,7 @@ class _Builder:
     def __init__(self, spec: QramSpec):
         self.spec = spec
         self.lay = TreeLayout(spec.n, spec.k)
-        self.rec = QramBuildRecord(
-            addr_hops=[0] * spec.n,
-            data_hops_down=[0] * spec.k,
-            data_hops_up=[0] * spec.k,
-        )
+        self.rec = QramBuildRecord()
         self.swap_kind = gates.ISWAP if spec.extensions else gates.SWAP
         self.cswap_kind = gates.CISWAP if spec.extensions else gates.CSWAP
         self.seg: list[Gate] = []
@@ -170,14 +158,14 @@ class _Builder:
         for l in range(self.spec.n):
             self.emit(gates.SWAP, self.lay.address(l), self.lay.node_data(0, 0))
             for j in range(l):
-                self._routing(j, "setting", l)
+                self._routing(j, setting=True)
             self._internal_swap(l)
 
     def _uncompute_setting(self) -> None:
         for l in reversed(range(self.spec.n)):
             self._internal_swap(l)
             for j in reversed(range(l)):
-                self._routing(j, "setting", l, up=True)
+                self._routing(j, setting=True, up=True)
             self.emit(gates.SWAP, self.lay.address(l), self.lay.node_data(0, 0))
 
     def _internal_swap(self, l: int) -> None:
@@ -197,11 +185,10 @@ class _Builder:
                 lay.node_data(l, right),
             )
         self.rec.internal_swap_pairs += 2 ** (l - 1)
-        self.rec.addr_hops[l] += 1
 
     # -- routing primitives -------------------------------------------------
 
-    def _routing(self, j: int, family: str, hop: int, up: bool = False) -> None:
+    def _routing(self, j: int, setting: bool, up: bool = False) -> None:
         # the moving bit crosses exactly one member of the pair either branch:
         # going down, C-SWAP to the right child first, then SWAP to the left
         # child; going up, the same two gates in the opposite order
@@ -213,16 +200,13 @@ class _Builder:
                 Gate(self.swap_kind, (pd, lay.node_data(j + 1, 2 * m))),
             ]
             self.seg.extend(reversed(pair) if up else pair)
-        rec = self.rec
-        if family == "setting":  # hop is the address bit carried down or up
-            rec.setting_routing_pairs += 2**j
-            rec.addr_hops[hop] += 1
-        else:  # hop is the word whose data bit moves
-            rec.fetch_unidirectional_pairs += 2**j
-            rec.fetch_routing_ops += 1
-            (rec.data_hops_up if up else rec.data_hops_down)[hop] += 1
+        if setting:
+            self.rec.setting_routing_pairs += 2**j
+        else:
+            self.rec.fetch_unidirectional_pairs += 2**j
+            self.rec.fetch_routing_ops += 1
 
-    def _routing_bidir(self, j: int, down_word: int, up_word: int) -> None:
+    def _routing_bidir(self, j: int) -> None:
         # one exchange parent.d <-> on-path child.d: anti-controlled to the
         # left child, controlled to the right; off-path parents exchange (0,0)
         lay = self.lay
@@ -235,8 +219,6 @@ class _Builder:
         self.rec.fetch_bidirectional_pairs += 2**j
         self.rec.fetch_routing_ops += 1
         self.rec.merged_routings += 1
-        self.rec.data_hops_down[down_word] += 1
-        self.rec.data_hops_up[up_word] += 1
 
     # -- fetch stage --------------------------------------------------------
 
@@ -254,11 +236,11 @@ class _Builder:
         if kind in ("D", "Ddag"):
             self.emit(gates.SWAP, self.lay.data(words[0]), self.lay.node_data(0, 0))
         elif kind == "Rdown":
-            self._routing(layers[0], "fetch", words[0])
+            self._routing(layers[0], setting=False)
         elif kind == "Rup":
-            self._routing(layers[0], "fetch", words[0], up=True)
+            self._routing(layers[0], setting=False, up=True)
         elif kind == "Rbidir":
-            self._routing_bidir(layers[0], words[0], words[1])
+            self._routing_bidir(layers[0])
         elif kind == "M":
             self._memory_copy(words[0])
         else:
@@ -324,7 +306,7 @@ class _Builder:
     def _start_corrections(self) -> list[Gate]:
         if not self.spec.extensions:
             return []
-        out = self._phase_corrections(self.rec.data_hops_down, self.lay.data)
+        out = self._phase_corrections([self.spec.n - 1] * self.spec.k, self.lay.data)
         if self.spec.pipeline:
             n = self.spec.n
             for i in range(self.spec.k):
@@ -337,5 +319,7 @@ class _Builder:
     def _end_corrections(self) -> list[Gate]:
         if not self.spec.extensions:
             return []
-        up = self._phase_corrections(self.rec.data_hops_up, self.lay.data)
-        return up + self._phase_corrections(self.rec.addr_hops, self.lay.address)
+        up = self._phase_corrections([self.spec.n - 1] * self.spec.k, self.lay.data)
+        # address bit l >= 1: l Routings and one Internal-SWAP, each way
+        addr = [2 * (l + 1) if l else 0 for l in range(self.spec.n)]
+        return up + self._phase_corrections(addr, self.lay.address)

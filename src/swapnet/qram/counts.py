@@ -12,10 +12,12 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from ..circuit import integral
+
 
 def merged_pair_count(n: int, k: int) -> int:
-    """Routing merges in the pipelined fetch: word pairs at gap g share one
-    bidirectional op when g <= n - 1."""
+    """Routing merges in the pipelined fetch, one deferred bus CZ each: word
+    pairs at gap g share one bidirectional op when g <= n - 1."""
     if n >= k:
         return k * (k - 1) // 2
     return n * (n - 1) // 2 + (k - n) * (n - 1)
@@ -47,11 +49,6 @@ def ext1_saved_pairs(n: int, k: int) -> int:
     """Pairs whose CZ drops because one operand is a known |0>: all
     Internal-SWAPs, all setting Routings, all unidirectional fetch Routings."""
     return 3 * 2**n - 2 * n - 4 + fetch_unidirectional_pairs(n, k)
-
-
-def cz_on_qpu(n: int, k: int) -> int:
-    """Deferred CZs placed on the bus wires, one per Routing merge."""
-    return sum(min(i, n - 1) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,7 @@ class GateCountReport:
 
 def count_gates(n: int, k: int) -> GateCountReport:
     """Evaluate every closed form for (n, k)."""
+    n, k = integral(n, "n"), integral(k, "k")
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return GateCountReport(
@@ -112,7 +110,7 @@ def count_gates(n: int, k: int) -> GateCountReport:
         fetch_bidirectional_pairs=fetch_bidirectional_pairs(n, k),
         ext1_saved_pairs=ext1_saved_pairs(n, k),
         ext2_saved_pairs=fetch_bidirectional_pairs(n, k),
-        cz_on_qpu=cz_on_qpu(n, k),
+        cz_on_qpu=merged_pair_count(n, k),
         parity_correction_events=k - 1,
         extra_memory_cells=k - 1,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuit import MAX_WIRES
+from ..circuit import MAX_WIRES, integral
 
 
 def wire_count(n: int, k: int) -> int:
@@ -35,6 +35,8 @@ class TreeLayout:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integral(self.n, "n"))
+        object.__setattr__(self, "k", integral(self.k, "k"))
         # n and k first, so that 2**n is never formed for a huge n
         if not (1 <= self.n <= MAX_WIRES and 1 <= self.k <= MAX_WIRES):
             raise ValueError(f"need 1 <= n, k <= {MAX_WIRES}, got n={self.n} k={self.k}")

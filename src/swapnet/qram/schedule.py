@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..circuit import integral
+
 
 @dataclass(frozen=True)
 class ScheduleOp:
@@ -70,6 +72,7 @@ def word_chain(n: int) -> list[tuple[str, tuple[int, ...]]]:
 
 def pipeline_schedule(n: int, k: int) -> Schedule:
     """Schedule the k word-chains over n tree layers."""
+    n, k = integral(n, "n"), integral(k, "k")
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     start = [2 * i + max(0, i - (n - 1)) for i in range(k)]

@@ -344,11 +344,6 @@ def random_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
     return factors
 
 
-def random_product_state(n: int, rng: np.random.Generator) -> PureState:
-    """Haar-random single-qubit product state, the product of random_factors."""
-    return PureState.product(random_factors(n, rng))
-
-
 def fidelity(a: PureState | MixedState, b: PureState | MixedState) -> float:
     """|<a|b>|^2, or <a|rho|a> when one side is mixed; two mixed states are refused."""
     if isinstance(a, PureState) and isinstance(b, PureState):

@@ -6,13 +6,23 @@ the monomial tables `propagate_basis` reads, so a test that compares the
 engine with them compares two computations, not one engine with itself.
 `layers` is the oracle for `metrics`, `legal_cz_slots` for `compile_ext2`'s
 one-sweep slot search; `extended`, `ring` and `complete` build test inputs.
+
+The rest left `src/` because only tests read them: `pauli_expansion` (with
+its `PauliExpansion`) checks gate matrices against their Pauli sums,
+`random_product_state` replays the benchmark's input draws, and
+`coupling_to_dict` and `qram_spec_to_dict` write the documents that the
+library's readers parse.
 """
+
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from swapnet.circuit import Circuit, CouplingMap
 from swapnet.compiler import SwapPath
-from swapnet.gates import gate_matrix
+from swapnet.gates import PAULI_1Q, gate_matrix
+from swapnet.sim import PureState, random_factors
 
 
 def layers(circuit):
@@ -97,3 +107,50 @@ def tensordot_statevector(circuit, vec):
     for g in circuit.gates:
         t = tensordot_apply(t, g.kind, g.wires)
     return t.reshape(-1)
+
+
+@dataclass(frozen=True)
+class PauliExpansion:
+    """Two-qubit operator as sum of coefficients times Pauli products P (x) Q."""
+
+    coeffs: dict
+
+    def reconstruct(self):
+        out = np.zeros((4, 4), dtype=complex)
+        for label, c in self.coeffs.items():
+            out += c * np.kron(PAULI_1Q[label[0]], PAULI_1Q[label[1]])
+        return out
+
+    def nonzero(self):
+        return {k: v for k, v in self.coeffs.items() if abs(v) > 1e-12}
+
+
+def pauli_expansion(kind):
+    """Expand a two-qubit gate over the 16 Pauli products, coeff = Tr[(P(x)Q)^dag M]/4."""
+    if kind.arity != 2:
+        raise ValueError(f"pauli_expansion needs a two-qubit gate, got {kind}")
+    m = gate_matrix(kind)
+    coeffs = {}
+    for a, b in product("IXYZ", repeat=2):
+        p = np.kron(PAULI_1Q[a], PAULI_1Q[b])
+        coeffs[a + b] = complex(np.trace(p.conj().T @ m)) / 4
+    return PauliExpansion(coeffs)
+
+
+def random_product_state(n, rng):
+    """Haar-random single-qubit product state, the product of random_factors."""
+    return PureState.product(random_factors(n, rng))
+
+
+def coupling_to_dict(coupling):
+    return {"n": coupling.n_wires, "edges": sorted(list(e) for e in coupling.edges)}
+
+
+def qram_spec_to_dict(spec):
+    return {
+        "n": spec.n,
+        "k": spec.k,
+        "memory": list(spec.memory),
+        "extensions": spec.extensions,
+        "pipeline": spec.pipeline,
+    }

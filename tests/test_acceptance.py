@@ -33,7 +33,6 @@ from swapnet.gates import (
     Z,
     PAULI_1Q,
     gate_matrix,
-    pauli_expansion,
 )
 from swapnet.netbench import BenchConfig, random_permutation, route_linear, run_benchmark
 from swapnet.qram.build import QramSpec, build_qram_circuit
@@ -41,7 +40,7 @@ from swapnet.qram.counts import count_gates, merged_pair_count
 from swapnet.qram.schedule import pipeline_schedule
 from swapnet.qram.verify import verify_qram
 
-from oracles import ring
+from oracles import pauli_expansion, ring
 
 TOL_ALGEBRA = 1e-12
 TOL_EQUIV = 1e-10
@@ -206,8 +205,8 @@ def test_criterion_4_gate_counts_and_depth():
         met = metrics(result.circuit)
         base = metrics(compile_cnot_baseline(path))
         # a simple chain always corrects the last swap's low wire (counter 1)
-        extra = 1 if result.n_corrections else 0
-        if len(set(path.pairs)) == m and not result.n_corrections:
+        extra = 1 if result.ledger.n_corrections() else 0
+        if len(set(path.pairs)) == m and not result.ledger.n_corrections():
             problems.append(f"chain n={path.n_wires}: expected corrections")
         if met.two_qubit_depth != m or met.depth != m + extra:
             problems.append(

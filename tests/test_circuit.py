@@ -22,15 +22,20 @@ from swapnet.circuit import (
     circuit_from_dict,
     circuit_to_dict,
     coupling_from_dict,
-    coupling_to_dict,
     dump_json,
     load_json,
     metrics,
     validate,
 )
 from swapnet import circuit as circuit_module
+from swapnet.compiler import SwapPath, compile_ext1, compile_iscz, verify_equivalence
+from swapnet.netbench import BenchConfig
+from swapnet.qram.build import QramSpec
+from swapnet.qram.counts import count_gates
+from swapnet.qram.layout import TreeLayout
+from swapnet.qram.schedule import pipeline_schedule
 
-from oracles import complete, extended, layers, ring
+from oracles import complete, coupling_to_dict, extended, layers, ring
 
 
 def iscz(a, b):
@@ -56,6 +61,47 @@ def test_equal_gates_are_one_object(kind, wires):
     assert Gate(kind, np.array(wires)) is g
     assert all(type(w) is int for w in Gate(kind, np.array(wires)).wires)
     assert Gate(gates.GateKind(kind.name, kind.params), wires) is g  # an equal kind, not the same one
+
+
+PATH = SwapPath(2, ((0, 1),))
+
+NON_INTEGRAL = {
+    "gate wire": ("wire", lambda: Gate(gates.X, (1.5,))),
+    "string wire": ("wire", lambda: Gate(gates.X, ("1",))),
+    "path pair": ("pair wire", lambda: SwapPath(3, ((0.7, 1),))),
+    "path size": ("n_wires", lambda: SwapPath(2.5, ())),
+    "coupling edge": ("edge wire", lambda: CouplingMap(3, {(0.5, 1)})),
+    "coupling size": ("n_wires", lambda: CouplingMap(2.5, ())),
+    "known zero": ("wire", lambda: Circuit(2, (), {0.5})),
+    "circuit size": ("n_wires", lambda: Circuit(2.5, ())),
+    "ext1 zero": ("known-zero wire", lambda: compile_ext1(PATH, {0.5})),
+    "constraint": ("constraint wire", lambda: verify_equivalence(PATH, compile_iscz(PATH).circuit, {0.5})),
+    "layout": ("k", lambda: TreeLayout(2, 1.5)),
+    "memory": ("memory value", lambda: QramSpec(1, 1, (0, 1.9))),
+    "address bits": ("n", lambda: QramSpec(1.5, 1, (0, 1))),
+    "bench size": ("size", lambda: BenchConfig(sizes=(3.7,))),
+    "trials": ("trials", lambda: BenchConfig(sizes=(3,), trials=2.5)),
+    "seed": ("seed", lambda: BenchConfig(sizes=(3,), seed=1.5)),
+    "counts": ("k", lambda: count_gates(2, 1.5)),
+    "schedule": ("n", lambda: pipeline_schedule(2.5, 2)),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGRAL)
+def test_non_integral_values_are_refused_by_name(case):
+    name, call = NON_INTEGRAL[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
+def test_integral_values_become_ints():
+    g = Gate(gates.zzevol(0.987654321), (1.0, np.int64(2)))  # no other test builds this gate
+    assert g.wires == (1, 2) and all(type(w) is int for w in g.wires)
+    assert Gate(gates.X, (True,)) is Gate(gates.X, (1,))
+    c = Circuit(2.0, (), {1.0})
+    assert (c.n_wires, c.known_zero) == (2, {1}) and type(c.n_wires) is int
+    assert SwapPath(3.0, ((0.0, 1),)).pairs == ((0, 1),)
+    assert BenchConfig(sizes=(3.0,), trials=2.0, seed=True) == BenchConfig(sizes=(3,), trials=2, seed=1)
 
 
 def _stored(kind, wires):
@@ -302,7 +348,7 @@ def test_json_file_round_trip(tmp_path):
     assert load_json(str(p), circuit_from_dict) == c
     m = CouplingMap.line(2)
     q = tmp_path / "m.json"
-    dump_json(m, str(q))
+    q.write_text(json.dumps(coupling_to_dict(m)))
     assert load_json(str(q), coupling_from_dict) == m
 
 

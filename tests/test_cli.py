@@ -17,7 +17,6 @@ from swapnet.circuit import (
     circuit_from_dict,
     circuit_to_dict,
     coupling_from_dict,
-    dump_json,
 )
 from swapnet.cli import build_parser, main
 from swapnet.compiler import (
@@ -28,6 +27,8 @@ from swapnet.compiler import (
     verify_equivalence,
 )
 from swapnet.qram.build import qram_spec_from_dict
+
+from oracles import coupling_to_dict
 
 
 @pytest.fixture
@@ -88,7 +89,7 @@ def test_compile_ext1_and_ext2(capsys, tmp_path, path_file):
     )
     assert rc == 0
     coupling = tmp_path / "line.json"
-    dump_json(CouplingMap.line(3), str(coupling))
+    coupling.write_text(json.dumps(coupling_to_dict(CouplingMap.line(3))))
     rc, out, _ = run(
         capsys, "compile", "--path", path_file, "--mode", "ext2",
         "--coupling", str(coupling), "--policy", "latest",
@@ -111,7 +112,7 @@ def test_compile_ext1_and_ext2(capsys, tmp_path, path_file):
     ],
 )
 def test_compile_refuses_flags_its_mode_ignores(capsys, tmp_path, path_file, mode, extra, flag):
-    dump_json(CouplingMap.line(3), str(tmp_path / "line.json"))
+    (tmp_path / "line.json").write_text(json.dumps(coupling_to_dict(CouplingMap.line(3))))
     extra = [str(tmp_path / a) if a == "line.json" else a for a in extra]
     rc, out, err = run(capsys, "compile", "--path", path_file, "--mode", mode, *extra)
     assert rc == 2 and out == ""
@@ -168,32 +169,25 @@ def test_bench_csv_deterministic(capsys, tmp_path):
 
 def test_bench_writes_files(capsys, tmp_path):
     csv_file = tmp_path / "r.csv"
-    json_file = tmp_path / "r.json"
-    rc, out, _ = run(
-        capsys, "bench", "--sizes", "3,4", "--trials", "2",
-        "--csv", str(csv_file), "--json", str(json_file),
-    )
+    csv_file.write_text("old bytes\n")
+    rc, out, _ = run(capsys, "bench", "--sizes", "3,4", "--trials", "2", "--csv", str(csv_file))
     assert rc == 0 and out == ""
-    assert csv_file.read_text().startswith("n,trial,mode")
-    docs = json.loads(json_file.read_text())
-    assert len(docs) == 2 * 2 * 3  # sizes x trials x modes, every mode always
+    lines = csv_file.read_text().splitlines()
+    assert lines[0].startswith("n,trial,mode")
+    assert len(lines) == 1 + 2 * 2 * 3  # header + sizes x trials x modes, every mode always
 
 
-@pytest.mark.parametrize("bad", ["--csv", "--json"])
+@pytest.mark.parametrize("bad", ["--csv"])
 def test_bench_opens_its_outputs_before_any_trial(capsys, tmp_path, monkeypatch, bad):
     def no_trials(*args, **kwargs):
-        pytest.fail("run_benchmark called before the outputs were opened")
+        pytest.fail("run_benchmark called before the output was opened")
 
     monkeypatch.setattr("swapnet.cli.run_benchmark", no_trials)
-    files = {"--csv": tmp_path / "r.csv", "--json": tmp_path / "r.json"}
-    files[bad] = tmp_path / "nonexistent" / "r.out"
-    argv = ["bench", "--sizes", "3", "--trials", "1"]
-    for flag, file in files.items():
-        argv += [flag, str(file)]
-    rc, out, err = run(capsys, *argv)
+    unwritable = tmp_path / "nonexistent" / "r.out"
+    rc, out, err = run(capsys, "bench", "--sizes", "3", "--trials", "1", bad, str(unwritable))
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert all(not f.exists() or f.read_text() == "" for f in files.values())
+    assert not unwritable.exists()
 
 
 def test_refused_jobs_create_no_csv(capsys, tmp_path):
@@ -202,18 +196,6 @@ def test_refused_jobs_create_no_csv(capsys, tmp_path):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == "" and err.startswith("error: jobs must be >= ")
     assert not csv.exists()
-
-
-def test_unopenable_json_keeps_an_existing_csv(capsys, tmp_path):
-    csv = tmp_path / "y.csv"
-    csv.write_bytes(b"kept\n")
-    bad_json = tmp_path / "nonexistent" / "y.json"
-    argv = ["bench", "--sizes", "3", "--trials", "1", "--csv", str(csv)]
-    rc, out, err = run(capsys, *argv, "--json", str(bad_json))
-    assert rc == 2 and out == "" and err.startswith("error: ")
-    assert csv.read_bytes() == b"kept\n"
-    rc, _, _ = run(capsys, *argv)  # a run that goes ahead still replaces the old bytes
-    assert rc == 0 and csv.read_text().startswith("n,")
 
 
 def test_bench_refuses_a_repeated_size(capsys):
@@ -545,6 +527,7 @@ def test_bad_tolerance_is_usage_error_before_simulating(capsys, monkeypatch, pat
     [
         ["qram-verify", "--n", "1", "--k", "1", "--memory", "0,1", "--tol", "1e-9"],
         ["bench", "--sizes", "3", "--trials", "1", "--modes", "cnot"],
+        ["bench", "--sizes", "3", "--trials", "1", "--json", "r.json"],
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -555,7 +538,7 @@ def test_removed_flags_are_usage_errors(capsys, argv):
 
 
 FLAGS = {
-    "bench": ["--csv", "--jobs", "--json", "--p", "--seed", "--sizes", "--trials"],
+    "bench": ["--csv", "--jobs", "--p", "--seed", "--sizes", "--trials"],
     "compile": ["--coupling", "--known-zero", "--mode", "--out", "--path", "--policy"],
     "matrix": ["--gate", "--json", "--params"],
     "qram-build": ["--extensions", "--k", "--memory", "--n", "--out", "--pipeline", "--spec"],

@@ -16,10 +16,11 @@ from swapnet.gates import (
     controlled,
     fsim,
     gate_matrix,
-    pauli_expansion,
     xyevol,
     zzevol,
 )
+
+from oracles import pauli_expansion
 
 TOL = 1e-12
 

@@ -4,7 +4,6 @@ the Pauli-weight noise engine against the density-matrix oracle."""
 import csv
 import hashlib
 import io
-import json
 import os
 import re
 import tracemalloc
@@ -22,7 +21,6 @@ from swapnet.sim import (
     apply_circuit,
     fidelity,
     random_factors,
-    random_product_state,
 )
 from swapnet.netbench import (
     MODES,
@@ -36,8 +34,9 @@ from swapnet.netbench import (
     summarize,
     summary_text,
     write_csv,
-    write_json,
 )
+
+from oracles import random_product_state
 
 ORACLE_TOL = 1e-12
 STRENGTHS = (0.0, 0.02, 0.3, 1.0)
@@ -185,15 +184,6 @@ def test_csv_round_trips_floats_exactly():
         assert float(row["p"]) == SMALL.p
         assert int(row["seed"]) == SMALL.seed
         assert row["permutation"] == "-".join(map(str, rec.permutation))
-
-
-def test_json_output_loads_back():
-    records = run_benchmark(BenchConfig(sizes=(3,), trials=2, seed=1))
-    buf = io.StringIO()
-    write_json(records, buf)
-    docs = json.loads(buf.getvalue())
-    assert len(docs) == len(records)
-    assert docs[0]["permutation"] == list(records[0].permutation)
 
 
 def test_summarize_groups_by_size_then_mode():

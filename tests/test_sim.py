@@ -34,10 +34,9 @@ from swapnet.sim import (
     depolarize_pair,
     fidelity,
     propagate_basis,
-    random_product_state,
 )
 
-from oracles import dense_unitary, extended, tensordot_apply, tensordot_statevector
+from oracles import dense_unitary, extended, random_product_state, tensordot_apply, tensordot_statevector
 
 TOL = 1e-12
 
