@@ -211,21 +211,19 @@ def metrics(circuit: Circuit) -> Metrics:
 @dataclass(frozen=True)
 class Violation:
     gate_index: int
-    gate: Gate | None
+    gate: Gate
     reason: str
 
     def __str__(self) -> str:
-        if self.gate is None:
-            return self.reason
         return f"gate {self.gate_index} ({self.gate}): {self.reason}"
 
 
 def validate(circuit: Circuit, coupling: CouplingMap) -> list[Violation]:
-    """Structural checks beyond construction: coupling-map conformance of multi-qubit gates."""
-    out = []
+    """Structural checks beyond construction: coupling-map conformance of
+    multi-qubit gates.  A coupling map of another size is refused."""
     if coupling.n_wires != circuit.n_wires:
-        out.append(Violation(-1, None, f"coupling map has {coupling.n_wires} wires, circuit {circuit.n_wires}"))
-        return out
+        raise ValueError(f"coupling map has {coupling.n_wires} wires, circuit {circuit.n_wires}")
+    out = []
     for i, g in enumerate(circuit.gates):
         if len(g.wires) < 2:
             continue

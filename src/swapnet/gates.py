@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class GateKind:
-    """A gate name plus its fixed angle parameters (if any)."""
+    """A gate name plus its fixed angle parameters (if any), stored as a
+    tuple of floats; a bool or a non-number is refused."""
 
     name: str
     params: tuple[float, ...] = ()
@@ -37,8 +39,14 @@ class GateKind:
             raise ValueError(
                 f"gate {self.name!r} takes {want} params, got {len(self.params)}"
             )
-        if any(not math.isfinite(p) for p in self.params):
-            raise ValueError(f"gate {self.name!r} has non-finite params {self.params}")
+        for p in self.params:
+            try:
+                finite = not isinstance(p, bool) and isinstance(p, Real) and math.isfinite(p)
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"gate {self.name!r} needs finite numbers as params, got {p!r:.40}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
 
     @property
     def arity(self) -> int:
@@ -82,17 +90,18 @@ CCX = GateKind("ccx")  # Toffoli; the target is the last operand
 
 
 def fsim(theta: float, phi: float) -> GateKind:
-    return GateKind("fsim", (float(theta), float(phi)))
+    return GateKind("fsim", (theta, phi))
 
 
 def xyevol(gt: float) -> GateKind:
-    """XY-interaction evolution exp(-i*gt*(XX+YY)/2); gt = pi/2 gives iswap."""
-    return GateKind("xyevol", (float(gt),))
+    """XY-interaction evolution exp(-i*gt*(XX+YY)/2), with -i*sin(gt) middles;
+    gt = pi/2 gives iswap^dag, and gt = -pi/2 gives iswap."""
+    return GateKind("xyevol", (gt,))
 
 
 def zzevol(gt: float) -> GateKind:
     """ZZ-interaction evolution exp(-i*gt*ZZ); gt = pi/4 gives cz up to 1q phases."""
-    return GateKind("zzevol", (float(gt),))
+    return GateKind("zzevol", (gt,))
 
 
 # Residual phase powers: after an iscz network, wire counters mod 4 map to

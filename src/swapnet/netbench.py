@@ -15,8 +15,8 @@ depolarizing channel after every two-qubit gate (fidelity against the
 circuit's own noiseless output).  The noisy run holds no density matrix:
 every benchmark gate is Clifford, so `noisy_fidelity` prices the noise
 exactly from the input's squared Pauli weights, which each gate permutes
-and each channel scales.  `sim.apply_circuit(state.to_density(), circuit, p)`
-with `sim.fidelity` stays the dense reference the tests compare it with.
+and each channel scales.  The tests check it against a density matrix run
+through every gate and channel (`noisy_density` in tests/oracles.py).
 
 Per-trial randomness is seeded from (master seed, n, trial), so records do
 not depend on execution order and a parallel run reproduces a serial one.
@@ -66,6 +66,7 @@ class BenchConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_strength(self.p)
+        object.__setattr__(self, "p", float(self.p))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -148,62 +149,22 @@ def _pauli_table(kind: GateKind) -> tuple[int, ...] | None:
 def _gather_index(kind: GateKind, offsets: tuple[int, ...]) -> np.ndarray:
     """Where each Pauli string over a span of wires takes its weight from
     when a gate of this kind acts on the span's wires at `offsets`: the span
-    starts at the gate's lowest wire and ends at its highest, its first wire
-    the most significant base-4 digit.  Digits off the gate pass through."""
-    source = np.argsort(_pauli_table(kind))  # the string each string came from
+    starts at the gate's lowest wire and ends at its highest, one base-4 axis
+    per wire, its first wire the most significant.  Axes off the gate pass
+    through."""
     span, r = max(offsets) + 1, len(offsets)
-    shifts = [2 * (span - 1 - o) for o in offsets]
-    strings = np.arange(4**span)
-    on_gate = np.zeros_like(strings)
-    index = strings.copy()
-    for s in shifts:
-        digit = (strings >> s) & 3
-        on_gate = (on_gate << 2) | digit
-        index -= digit << s
-    came_from = source[on_gate]
-    for t, s in enumerate(shifts):
-        index += ((came_from >> 2 * (r - 1 - t)) & 3) << s
-    return index
-
-
-def _pauli_steps(circuit: Circuit, p: float) -> list[tuple]:
-    """Each gate's gather (and, for a noisy one, the view of the weights that
-    its channel leaves alone) up to the last gate with noise: a permutation
-    of the weights keeps their sum.  Refuses a gate that is not Clifford,
-    named with its index, before any weight exists."""
-    for i, g in enumerate(circuit.gates):
-        if _pauli_table(g.kind) is None:
-            raise ValueError(f"noisy_fidelity needs Clifford gates: gate {i} ({g}) is not Clifford")
-    noisy = [i for i, g in enumerate(circuit.gates) if len(g.wires) >= 2]
-    stop = noisy[-1] + 1 if noisy and p > 0.0 else 0
-    index_of: dict[tuple, np.ndarray] = {}
-    steps = []
-    for g in circuit.gates[:stop]:
-        lo = min(g.wires)
-        key = (g.kind, tuple(w - lo for w in g.wires))
-        if key not in index_of:
-            index_of[key] = _gather_index(*key)
-        index = index_of[key]
-        gather_shape = (4**lo, len(index), -1)
-        idle = None
-        if len(g.wires) >= 2:  # the strings that are the identity on every operand
-            shape, at, prev = [], [], -1
-            for w in sorted(g.wires):
-                shape += [4 ** (w - prev - 1), 4]
-                at += [slice(None), 0]
-                prev = w
-            idle = (tuple(shape) + (-1,), tuple(at))
-        steps.append((gather_shape, index, idle))
-    return steps
+    strings = np.moveaxis(np.arange(4**span).reshape([4] * span), offsets, range(r))
+    came_from = strings.reshape(4**r, -1)[np.argsort(_pauli_table(kind))]
+    return np.moveaxis(came_from.reshape(strings.shape), range(r), offsets).ravel()
 
 
 def noisy_fidelity(circuit: Circuit, factors: Sequence[np.ndarray], p: float) -> float:
     """<phi|rho|phi>, where phi is the circuit's noiseless output on the
     product input of `factors` (one unit 2-vector per wire, wire 0 first) and
     rho its output when every multi-qubit gate's operands are depolarized
-    with strength p right after the gate: what sim.fidelity(pure,
-    sim.apply_circuit(state.to_density(), circuit, p)) gives, for Clifford
-    circuits, without a density matrix.
+    with strength p right after the gate: what a density matrix run gate
+    by gate with sim.depolarize_pair after each multi-qubit gate gives, for
+    Clifford circuits, without a density matrix.
 
     Heisenberg-picture Pauli tracking (Aaronson and Gottesman,
     arXiv:quant-ph/0406196): with psi the input,
@@ -231,21 +192,33 @@ def noisy_fidelity(circuit: Circuit, factors: Sequence[np.ndarray], p: float) ->
         ab = np.conj(a) * b
         x, y, z = 2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2
         bloch.append(np.array([1.0, x * x, y * y, z * z]) / 2)
-    steps = _pauli_steps(circuit, p)
+    for i, g in enumerate(circuit.gates):
+        if _pauli_table(g.kind) is None:
+            raise ValueError(f"noisy_fidelity needs Clifford gates: gate {i} ({g}) is not Clifford")
+    # past the last noisy gate the gates only permute the weights, which keeps their sum
+    noisy = [i for i, g in enumerate(circuit.gates) if len(g.wires) >= 2]
+    stop = noisy[-1] + 1 if noisy and p > 0.0 else 0
     weights = np.ones(1)
     for v in bloch:
         weights = np.outer(weights, v).ravel()  # the Kronecker product, wire 0 first
     spare = np.empty_like(weights)
-    for gather_shape, index, idle in steps:
-        out = spare.reshape(gather_shape)
+    index_of: dict[tuple, np.ndarray] = {}
+    for g in circuit.gates[:stop]:
+        lo = min(g.wires)
+        key = (g.kind, tuple(w - lo for w in g.wires))
+        if key not in index_of:
+            index_of[key] = _gather_index(*key)
+        index = index_of[key]
+        gather_shape = (4**lo, len(index), -1)
         # every index is in range; mode "raise" would buffer the output
-        np.take(weights.reshape(gather_shape), index, axis=1, out=out, mode="clip")
-        if idle is not None:
+        np.take(weights.reshape(gather_shape), index, axis=1, out=spare.reshape(gather_shape), mode="clip")
+        if len(g.wires) >= 2:
             # the gate kept the strings that are the identity on its wires in
-            # place, and the channel leaves them alone
+            # place, and the channel leaves them alone; the Ellipsis keeps a
+            # view when the gate covers every wire
             np.multiply(spare, 1.0 - p, out=spare)
-            shape, at = idle
-            np.copyto(spare.reshape(shape)[at], weights.reshape(shape)[at])
+            idle = (*(0 if w in g.wires else slice(None) for w in range(n)), ...)
+            np.copyto(spare.reshape([4] * n)[idle], weights.reshape([4] * n)[idle])
         weights, spare = spare, weights
     return float(weights.sum())
 

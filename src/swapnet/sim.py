@@ -24,9 +24,8 @@ Amplitudes move along `basis_map(steps, n)`, the propagated image of all
 becomes vec'[index] = vec * i**power, a density matrix takes the same map on
 its rows and the conjugate powers on its columns, and `circuit_unitary` is
 U[index, j] = i**power[j].  The phase multiplies are exact.
-`apply_circuit` looks up the circuit's steps once and applies them in
-segments that end at each noise site, so a noiseless run is one map.
-Depolarizing noise works in place on the [2]*2n view.
+`apply_circuit` runs a whole circuit as one map and has no noise.
+`depolarize_pair` works in place on a density matrix's [2]*2n view.
 
 Density matrices cost 4^n; construction is capped at a fixed n <= 10
 (DENSITY_WIRE_CAP), checked before the matrix is formed, so a typo cannot
@@ -34,9 +33,10 @@ silently allocate gigabytes.  A basis map holds an n x 2**n bit matrix, so
 `check_basis_cap` bounds statevectors at 19 wires before it exists.
 States copy the array they are built from, so the kernels never write into
 an array the caller still holds.  No command runs a density matrix:
-`netbench.noisy_fidelity` prices the benchmark's noise from Pauli weights,
-and MixedState, depolarize_pair and the mixed branch of `fidelity` are the
-dense reference its tests compare it with.
+`netbench.noisy_fidelity` prices the benchmark's noise from Pauli weights.
+MixedState, depolarize_pair and the mixed branch of `fidelity` are on no
+command path: the tests build their dense noise reference from them, and
+the benchmark harness times them by name.
 
 Verification needs no amplitudes at all.  `basis_deviation` turns the
 propagated inputs into the dense max |U - P| exactly: 0, sqrt 2 or 2 for a
@@ -49,6 +49,7 @@ compares a pure state with a pure or a mixed one.
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -179,10 +180,11 @@ def _part(t: np.ndarray, axes: tuple[int, ...], i: int) -> np.ndarray:
 def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
     """Two-qubit depolarizing channel: rho -> (1-p) rho + p Tr_pair(rho) (x) I/4.
 
-    Generalizes to any wire tuple (dimension d = 2**len(pair)); netbench uses
-    pairs.  Works in place on the [2]*2n view: the d diagonal pair blocks sum
-    to the reduced state, rho is scaled by 1-p, and p * reduced / d is added
-    back onto each diagonal block.
+    Generalizes to any wire tuple (dimension d = 2**len(pair)): the tests'
+    dense noise reference calls it after every multi-qubit gate, three-qubit
+    ones included.  Works in place on the [2]*2n view: the d diagonal pair
+    blocks sum to the reduced state, rho is scaled by 1-p, and p * reduced / d
+    is added back onto each diagonal block.
     """
     check_strength(p)
     if p == 0.0:
@@ -202,31 +204,19 @@ def depolarize_pair(state: MixedState, pair: tuple[int, ...], p: float) -> None:
 
 
 def check_strength(p: float) -> None:
-    """Refuse a depolarizing strength outside [0, 1], nan included."""
+    """Refuse a strength that is a bool, not a real number, or outside [0, 1] (nan too)."""
+    if isinstance(p, bool) or not isinstance(p, Real):
+        raise ValueError(f"depolarizing strength {p!r:.40} is not a real number")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
 
 
-def apply_circuit(
-    state: PureState | MixedState, circuit: Circuit, p: float = 0.0
-) -> PureState | MixedState:
-    """Run the circuit on a copy of the state and return the copy.  With p > 0
-    every multi-qubit gate's operand set is depolarized right after the gate."""
+def apply_circuit(state: PureState | MixedState, circuit: Circuit) -> PureState | MixedState:
+    """Run the circuit on a copy of the state, as one basis map, and return the copy."""
     if state.n != circuit.n_wires:
         raise ValueError(f"state has {state.n} wires, circuit {circuit.n_wires}")
-    check_strength(p)
-    if p > 0.0 and isinstance(state, PureState):
-        raise ValueError("noisy simulation needs a density matrix")
-    steps = basis_steps(circuit)
     out = state.copy()
-    start = 0
-    for stop, (wires, _) in enumerate(steps, 1):
-        if p > 0.0 and len(wires) >= 2:
-            out._apply_map(*basis_map(steps[start:stop], state.n))
-            depolarize_pair(out, wires, p)
-            start = stop
-    if start < len(steps):
-        out._apply_map(*basis_map(steps[start:], state.n))
+    out._apply_map(*basis_map(basis_steps(circuit), state.n))
     return out
 
 

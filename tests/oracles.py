@@ -5,7 +5,9 @@ The amplitude oracles build every amplitude from `gate_matrix`, never from
 the monomial tables `propagate_basis` reads, so a test that compares the
 engine with them compares two computations, not one engine with itself.
 `layers` is the oracle for `metrics`, `legal_cz_slots` for `compile_ext2`'s
-one-sweep slot search; `extended`, `ring` and `complete` build test inputs.
+one-sweep slot search, and `noisy_density` (a density matrix through every
+gate and channel) for `netbench.noisy_fidelity`; `extended`, `ring` and
+`complete` build test inputs.
 
 The rest left `src/` because only tests read them: `pauli_expansion` (with
 its `PauliExpansion`) checks gate matrices against their Pauli sums,
@@ -22,7 +24,7 @@ import numpy as np
 from swapnet.circuit import Circuit, CouplingMap
 from swapnet.compiler import SwapPath
 from swapnet.gates import PAULI_1Q, gate_matrix
-from swapnet.sim import PureState, random_factors
+from swapnet.sim import PureState, depolarize_pair, random_factors
 
 
 def layers(circuit):
@@ -99,6 +101,18 @@ def tensordot_apply(t, kind, axes, conj=False):
         u = u.conj()
     out = np.tensordot(u.reshape([2] * (2 * w)), t, axes=(list(range(w, 2 * w)), list(axes)))
     return np.moveaxis(out, list(range(w)), list(axes))
+
+
+def noisy_density(state, circuit, p):
+    """The pure state's density matrix through the circuit gate by gate, each
+    gate on two or more wires followed by a depolarizing channel of strength
+    p on its wires: the dense noise model noisy_fidelity prices."""
+    rho = state.to_density()
+    for g in circuit.gates:
+        rho.apply_gate(g)
+        if len(g.wires) >= 2:
+            depolarize_pair(rho, g.wires, p)
+    return rho
 
 
 def tensordot_statevector(circuit, vec):

@@ -4,7 +4,8 @@ Tolerances are pinned here: 1e-12 for gate algebra and Pauli reconstructions,
 1e-10 for compiled-circuit equivalence against the reference permutation,
 1e-9 for QRAM verification and benchmark noiseless fidelities.  Runtime caps
 are asserted where the claim includes one: the 200-path property sweep must
-finish under 60 s and the density-matrix benchmark under 600 s.  Run with -s
+finish under 60 s and the 1,800-record benchmark, priced by Pauli-weight
+propagation, under 600 s.  Run with -s
 to see the per-criterion lines; the -v test names carry the same verdicts.
 """
 

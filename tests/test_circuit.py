@@ -318,8 +318,9 @@ def test_validate_checks_three_qubit_pairs():
 
 
 def test_validate_wire_count_mismatch():
-    bad = validate(Circuit(3), CouplingMap.line(4))
-    assert len(bad) == 1 and bad[0].gate is None
+    # refused as compile_ext2 and verify_equivalence refuse it
+    with pytest.raises(ValueError, match=r"^coupling map has 4 wires, circuit 3$"):
+        validate(Circuit(3), CouplingMap.line(4))
 
 
 def test_circuit_json_round_trip():

@@ -21,8 +21,6 @@ from hypothesis import event, example, given, settings, strategies as st
 from swapnet import gates
 from swapnet.circuit import Circuit, CouplingMap, Gate, load_json, metrics, validate
 from swapnet.compiler import (
-    CompileResult,
-    PhaseLedger,
     SwapPath,
     UnschedulableCZError,
     apply_reference_permutation,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from swapnet import gates
+from swapnet.circuit import Gate
 from swapnet.gates import (
     GateKind,
     PHASE_BY_COUNT,
@@ -208,6 +209,10 @@ def test_gate_kind_validation():
         GateKind("swap", (0.5,))  # takes none
     with pytest.raises(ValueError):
         GateKind("xyevol", (float("nan"),))
+    # a list of integers is stored as a tuple of floats, so its gates hash
+    kind = GateKind("fsim", [1, 0])
+    assert kind.params == (1.0, 0.0) and kind == gates.fsim(1.0, 0.0)
+    assert Gate(kind, (0, 1)) is Gate(gates.fsim(1, 0), (0, 1))
 
 
 def test_gate_kind_str_and_arity():

@@ -14,18 +14,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from swapnet import gates, netbench
 from swapnet.circuit import Circuit, Gate, metrics
-from swapnet.compiler import apply_reference_permutation, compile_iscz
+from swapnet.compiler import compile_iscz
 from swapnet.sim import (
     DENSITY_WIRE_CAP,
     PureState,
     apply_circuit,
+    depolarize_pair,
     fidelity,
     random_factors,
 )
 from swapnet.netbench import (
     MODES,
     BenchConfig,
-    TrialRecord,
     compile_mode,
     noisy_fidelity,
     random_permutation,
@@ -36,7 +36,7 @@ from swapnet.netbench import (
     write_csv,
 )
 
-from oracles import random_product_state
+from oracles import noisy_density, random_product_state
 
 ORACLE_TOL = 1e-12
 STRENGTHS = (0.0, 0.02, 0.3, 1.0)
@@ -227,10 +227,17 @@ def test_csv_bytes_without_fidelity_noisy_are_pinned():
     assert digest == "13f698aac5120af46480c3e285451fd405300dce0efd20839ab6b8c9ada4cf37"
 
 
+def test_csv_bytes_at_the_widest_sizes_are_pinned():
+    # n = 10 has the widest Pauli-weight buffers the bench allows
+    buf = io.StringIO()
+    write_csv(run_benchmark(BenchConfig(sizes=(9, 10), trials=1, seed=0)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "2fb806ee8540dc3c9f8267d5e677b00c98dd952277d177275044e8999257cbec"
+
+
 def _density_fidelity(circuit, state, p):
     """The dense reference: a density matrix through every gate and channel."""
-    pure = apply_circuit(state, circuit)
-    return fidelity(pure, apply_circuit(state.to_density(), circuit, p))
+    return fidelity(apply_circuit(state, circuit), noisy_density(state, circuit, p))
 
 
 @pytest.mark.parametrize("p", STRENGTHS)
@@ -337,8 +344,40 @@ def test_noisy_fidelity_refuses_bad_input():
             noisy_fidelity(Circuit(3), [[bad, 0], [1, 0], [1, 0]], 0.02)
         with pytest.raises(ValueError, match="factor 2 is not a unit 2-vector"):
             noisy_fidelity(Circuit(3), [[1, 0], [0, 1], [0, bad]], 0.02)
-    with pytest.raises(ValueError, match="outside"):
-        noisy_fidelity(Circuit(3), factors, 1.5)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="depolarizing strength"):
+            noisy_fidelity(Circuit(3), factors, p)
     n = DENSITY_WIRE_CAP + 1
     with pytest.raises(ValueError, match=f"refusing Pauli weights on {n} wires"):
         noisy_fidelity(Circuit(n), random_factors(n, np.random.default_rng(0)), 0.02)
+
+
+def test_noise_applies_only_after_multi_qubit_gates():
+    plus = [np.array([1, 1]) / np.sqrt(2), np.array([1, 0])]  # |+0>
+    assert abs(noisy_fidelity(Circuit(2, (Gate(gates.S, (0,)),)), plus, 0.5) - 1.0) <= ORACLE_TOL
+    zero = [np.array([1, 0])] * 2
+    cz = Circuit(2, (Gate(gates.CZ, (0, 1)),))  # the channel takes |00> to I/4
+    assert abs(noisy_fidelity(cz, zero, 1.0) - 0.25) <= ORACLE_TOL
+
+
+WRONG_TYPED = {
+    "bench-p-str": (lambda: BenchConfig(sizes=(3,), p="0.1"), "depolarizing strength '0.1'"),
+    "bench-p-none": (lambda: BenchConfig(sizes=(3,), p=None), "depolarizing strength None"),
+    "bench-p-bool": (lambda: BenchConfig(sizes=(3,), p=True), "depolarizing strength True"),
+    "noisy-fidelity-p-str": (
+        lambda: noisy_fidelity(Circuit(2), [[1, 0], [1, 0]], "0.1"), "depolarizing strength '0.1'"),
+    "depolarize-p-none": (
+        lambda: depolarize_pair(PureState.basis(2).to_density(), (0, 1), None),
+        "depolarizing strength None"),
+    "params-str": (
+        lambda: gates.GateKind("fsim", ("a", "b")), "gate 'fsim' needs finite numbers as params, got 'a'"),
+    "params-bool": (
+        lambda: gates.GateKind("fsim", (True, 2)), "gate 'fsim' needs finite numbers as params, got True"),
+    "params-huge-int": (lambda: gates.GateKind("xyevol", (10**400,)), "gate 'xyevol' needs finite numbers"),
+}
+
+
+@pytest.mark.parametrize("make, named", WRONG_TYPED.values(), ids=WRONG_TYPED)
+def test_wrong_typed_numbers_are_refused_by_name(make, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()

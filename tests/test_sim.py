@@ -36,7 +36,14 @@ from swapnet.sim import (
     propagate_basis,
 )
 
-from oracles import dense_unitary, extended, random_product_state, tensordot_apply, tensordot_statevector
+from oracles import (
+    dense_unitary,
+    extended,
+    noisy_density,
+    random_product_state,
+    tensordot_apply,
+    tensordot_statevector,
+)
 
 TOL = 1e-12
 
@@ -57,6 +64,13 @@ def einsum_depolarize(rho, n, pair, p):
     t = (1.0 - p) * t + p * mixed
     inv = np.argsort(perm)
     return t.reshape([2] * (2 * n)).transpose(inv).reshape(2**n, 2**n)
+
+
+def tensordot_rho(rho, n, g):
+    """Oracle: U rho U^dag, the gate's tensor on the ket axes, its conjugate on the bra axes."""
+    t = tensordot_apply(rho.reshape([2] * (2 * n)), g.kind, g.wires)
+    t = tensordot_apply(t, g.kind, tuple(n + w for w in g.wires), conj=True)
+    return t.reshape(2**n, 2**n)
 
 
 def random_vec(rng, dim):
@@ -102,9 +116,7 @@ def test_monomial_kernels_match_tensordot_bit_for_bit(case, seed):
     rho = random_rho(rng, n)
     mixed = MixedState(n, rho)
     mixed.apply_gate(g)
-    t = tensordot_apply(rho.reshape([2] * (2 * n)), g.kind, g.wires)
-    t = tensordot_apply(t, g.kind, tuple(n + w for w in g.wires), conj=True)
-    assert np.array_equal(mixed.rho, t.reshape(2**n, 2**n))
+    assert np.array_equal(mixed.rho, tensordot_rho(rho, n, g))
 
     eye = np.eye(2**n, dtype=complex).reshape([2] * n + [2**n])
     want_u = tensordot_apply(eye, g.kind, g.wires).reshape(2**n, 2**n)
@@ -136,7 +148,8 @@ def monomial_circuits(draw):
                      Gate(gates.CCX, (1, 0, 3)), Gate(gates.SDAG, (1,)))), 0.3, 1)
 @settings(max_examples=150, deadline=None)
 def test_apply_circuit_matches_gate_by_gate_tensordot_bit_for_bit(c, p, seed):
-    """apply_circuit runs one basis map per segment between noise sites; the
+    """apply_circuit runs the whole circuit as one basis map, and noisy_density
+    runs it gate by gate with a channel after each multi-qubit gate; the
     oracle applies each gate's tensor and each channel's formula in turn."""
     n = c.n_wires
     rng = np.random.default_rng(seed)
@@ -144,14 +157,13 @@ def test_apply_circuit_matches_gate_by_gate_tensordot_bit_for_bit(c, p, seed):
     assert np.array_equal(apply_circuit(PureState(n, vec), c).vec, tensordot_statevector(c, vec))
 
     rho = random_rho(rng, n)
-    want = rho
+    clean, noisy = rho, np.outer(vec, vec.conj())
     for g in c.gates:
-        t = tensordot_apply(want.reshape([2] * (2 * n)), g.kind, g.wires)
-        t = tensordot_apply(t, g.kind, tuple(n + w for w in g.wires), conj=True)
-        want = t.reshape(2**n, 2**n)
+        clean, noisy = (tensordot_rho(t, n, g) for t in (clean, noisy))
         if len(g.wires) >= 2:
-            want = einsum_depolarize(want, n, g.wires, p)
-    assert np.array_equal(apply_circuit(MixedState(n, rho), c, p).rho, want)
+            noisy = einsum_depolarize(noisy, n, g.wires, p)
+    assert np.array_equal(apply_circuit(MixedState(n, rho), c).rho, clean)
+    assert np.array_equal(noisy_density(PureState(n, vec), c, p).rho, noisy)
 
 
 def test_state_constructors_do_not_alias_caller_arrays():
@@ -416,26 +428,6 @@ def test_depolarize_bad_strength():
     r = PureState.basis(2, 0).to_density()
     with pytest.raises(ValueError):
         depolarize_pair(r, (0, 1), 1.5)
-
-
-def test_noise_model_rejects_pure_states():
-    c = Circuit(2, (Gate(gates.CZ, (0, 1)),))
-    with pytest.raises(ValueError):
-        apply_circuit(PureState.basis(2, 0), c, 0.1)
-    for p in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="depolarizing strength"):
-            apply_circuit(PureState.basis(2, 0).to_density(), c, p)
-
-
-def test_noise_applies_only_after_multi_qubit_gates():
-    c1 = Circuit(2, (Gate(gates.S, (0,)),))
-    plus = PureState(2, np.array([1, 0, 1, 0]) / np.sqrt(2))  # (|00> + |10>) / sqrt 2
-    r = apply_circuit(plus.to_density(), c1, 0.5)
-    pure = apply_circuit(plus, c1)
-    assert np.max(np.abs(r.rho - np.outer(pure.vec, pure.vec.conj()))) <= 1e-12
-    c2 = Circuit(2, (Gate(gates.CZ, (0, 1)),))
-    r2 = apply_circuit(PureState.basis(2, 0).to_density(), c2, 1.0)
-    assert np.max(np.abs(r2.rho - np.eye(4) / 4)) <= TOL
 
 
 def test_wire_count_mismatch_raises():
