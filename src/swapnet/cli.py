@@ -25,9 +25,7 @@ from .circuit import (
 from .compiler import (
     UnschedulableCZError,
     compile_cnot_baseline,
-    compile_ext1,
-    compile_ext2,
-    compile_iscz,
+    compile_ext,
     swap_path_from_dict,
     verify_equivalence,
 )
@@ -69,29 +67,26 @@ def _verdict(dev: float, good: str, bad: str) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    for flag, value, mode in (
-        ("--known-zero", args.known_zero, "ext1"),
-        ("--coupling", args.coupling, "ext2"),
-        ("--policy", args.policy, "ext2"),
+    for flag, value, modes in (
+        ("--known-zero", args.known_zero, ("ext1", "ext2")),
+        ("--coupling", args.coupling, ("ext2",)),
+        ("--policy", args.policy, ("ext2",)),
     ):
-        if value is not None and args.mode != mode:
-            raise CircuitFormatError(f"{flag} needs --mode {mode}, not {args.mode}")
+        if value is not None and args.mode not in modes:
+            raise CircuitFormatError(f"{flag} needs --mode {' or '.join(modes)}, not {args.mode}")
     path = load_json(args.path, swap_path_from_dict)
     if args.mode == "cnot":
         circuit, corrections = compile_cnot_baseline(path), 0
     else:
-        if args.mode == "iscz":
-            res = compile_iscz(path)
-        elif args.mode == "ext1":
-            zeros = _parse_list(args.known_zero, "wire list")
-            if len(set(zeros)) < len(zeros):
-                raise CircuitFormatError(f"--known-zero {args.known_zero} repeats a wire")
-            res = compile_ext1(path, zeros)
-        else:  # ext2
+        zeros = _parse_list(args.known_zero, "wire list")
+        if len(set(zeros)) < len(zeros):
+            raise CircuitFormatError(f"--known-zero {args.known_zero} repeats a wire")
+        coupling = None
+        if args.mode == "ext2":
             if not args.coupling:
                 raise CircuitFormatError("--mode ext2 needs --coupling MAP.json")
             coupling = load_json(args.coupling, coupling_from_dict)
-            res = compile_ext2(path, coupling, args.policy or "earliest")
+        res = compile_ext(path, coupling, zeros, args.policy or "earliest")
         circuit, corrections = res.circuit, res.ledger.n_corrections()
     dump_json(circuit, args.out)
     met = metrics(circuit)
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a swap path JSON to a circuit")
     c.add_argument("--path", required=True, help="swap path JSON file")
     c.add_argument("--mode", choices=("iscz", "cnot", "ext1", "ext2"), default="iscz")
-    c.add_argument("--known-zero", help="comma list of wires starting in |0> (ext1)")
+    c.add_argument("--known-zero", help="comma list of wires starting in |0> (ext1, ext2)")
     c.add_argument("--coupling", help="coupling map JSON file (ext2)")
     c.add_argument("--policy", choices=("earliest", "latest"), help="ext2 only; default earliest")
     c.add_argument("--out", help="write circuit JSON here instead of stdout")

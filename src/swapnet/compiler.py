@@ -10,20 +10,20 @@ tracked by an integer counter per wire that travels with the logical value:
     exchange counter[a], counter[b]
     final layer: counter mod 4 -> 1: S^dag, 2: Z, 3: S, 0: nothing
 
-Extension "ext1": a SWAP whose one operand provably holds |0> needs no CZ and
-only one phase bump (the zero branch contributes neither), so it compiles to a
-bare iSWAP; two known zeros compile to nothing.  Extension "ext2": emit bare
-iSWAPs at the swap positions and defer each CZ to any moment where the two
-logical values involved sit on a coupled edge again; the slots immediately
-before and after the originating iSWAP are always legal.  compile_ext2 takes
-the earliest or the latest; one forward sweep finds both for every value pair,
-revisiting only the edges at each swap's wires: O(m * degree) for m swaps.
+compile_ext is the one loop that turns swaps into gates.  Ext1: a swap with
+one known |0> operand needs no CZ and one phase bump (the zero branch adds
+neither): a bare iSWAP, and the zero moves; two known zeros emit nothing.
+Ext2, given a coupling map: any other swap is a bare iSWAP, its CZ deferred to
+the earliest or latest slot at which its two values sit on an edge, both found
+for every value pair by one forward sweep in O(m * degree).  The rules commute:
+following the values, iSWAPs are permutations times diagonals and CZs are
+diagonals, and the CZs ext1 drops act on a known zero, the identity anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class PendingCZ:
 
     swap_index: int
     values: tuple[int, int]  # identified by their initial wires
-    slot: int  # number of iSWAPs preceding the CZ in the output
+    slot: int  # number of swaps of the path before the CZ
     wires: tuple[int, int]  # physical wires at that slot
 
 
@@ -148,66 +148,8 @@ class PendingCZ:
 class CompileResult:
     circuit: Circuit
     ledger: PhaseLedger
-    final_zeros: frozenset[int] = frozenset()  # filled by compile_ext1
-    pending: tuple[PendingCZ, ...] = ()  # filled by compile_ext2
-
-
-def compile_iscz(path: SwapPath) -> CompileResult:
-    """Every SWAP becomes one fused iSCZ; one trailing phase layer."""
-    ledger = PhaseLedger(path.n_wires)
-    body = []
-    for a, b in path.pairs:
-        body.append(Gate(gates.ISCZ, (a, b)))
-        ledger.record_swap(a, b)
-    return CompileResult(Circuit(path.n_wires, tuple(body + ledger.phase_layer())), ledger)
-
-
-def unfuse_iscz(circuit: Circuit) -> Circuit:
-    """Split every fused iSCZ into iSWAP followed by CZ (they commute)."""
-    body: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind.name == "iscz":
-            body.append(Gate(gates.ISWAP, g.wires))
-            body.append(Gate(gates.CZ, g.wires))
-        else:
-            body.append(g)
-    return Circuit(circuit.n_wires, tuple(body), circuit.known_zero)
-
-
-def compile_cnot_baseline(path: SwapPath) -> Circuit:
-    """Textbook baseline: three CNOTs per SWAP, no phase corrections."""
-    body = []
-    for a, b in path.pairs:
-        body.append(Gate(gates.CNOT, (a, b)))
-        body.append(Gate(gates.CNOT, (b, a)))
-        body.append(Gate(gates.CNOT, (a, b)))
-    return Circuit(path.n_wires, tuple(body))
-
-
-def compile_ext1(path: SwapPath, known_zero: frozenset[int] | set[int]) -> CompileResult:
-    """Zero-aware compilation: SWAPs touching a tracked |0> drop their CZ."""
-    known_zero = frozenset(integral(w, "known-zero wire") for w in known_zero)
-    for w in known_zero:
-        if not 0 <= w < path.n_wires:
-            raise ValueError(f"known-zero wire {w} outside 0..{path.n_wires - 1}")
-    zeros = set(known_zero)
-    ledger = PhaseLedger(path.n_wires)
-    body = []
-    for a, b in path.pairs:
-        a_zero, b_zero = a in zeros, b in zeros
-        if a_zero and b_zero:
-            continue  # |00> is a fixed point; nothing to emit or track
-        if a_zero or b_zero:
-            zero_w, data_w = (a, b) if a_zero else (b, a)
-            body.append(Gate(gates.ISWAP, (a, b)))
-            ledger.record_one_sided(data_w, zero_w)
-            zeros.remove(zero_w)
-            zeros.add(data_w)
-        else:
-            body.append(Gate(gates.ISCZ, (a, b)))
-            ledger.record_swap(a, b)
-    circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()), known_zero)
-    return CompileResult(circuit, ledger, frozenset(zeros))
+    final_zeros: frozenset[int]
+    pending: tuple[PendingCZ, ...]
 
 
 def _coupled_spans(path: SwapPath, coupling: CouplingMap) -> tuple[list, dict, dict]:
@@ -240,38 +182,97 @@ def _coupled_spans(path: SwapPath, coupling: CouplingMap) -> tuple[list, dict, d
     return moved, first, last
 
 
-def compile_ext2(
-    path: SwapPath, coupling: CouplingMap, policy: str = "earliest"
+def compile_ext(
+    path: SwapPath, coupling: CouplingMap | None = None, known_zero: Iterable[int] = (),
+    policy: str = "earliest",
 ) -> CompileResult:
-    """Connectivity-aware compilation: bare iSWAPs in place, CZs deferred to a
-    chosen legal slot.  The phase layer is identical to compile_iscz's."""
+    """The one loop that turns swaps into gates; see the module docstring."""
     if policy not in ("earliest", "latest"):
         raise ValueError(f"policy must be 'earliest' or 'latest', got {policy!r}")
-    if coupling.n_wires != path.n_wires:
-        raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
-    moved, first, last = _coupled_spans(path, coupling)
-    chosen = first if policy == "earliest" else last
+    known_zero = frozenset(integral(w, "known-zero wire") for w in known_zero)
+    for w in known_zero:
+        if not 0 <= w < path.n_wires:
+            raise ValueError(f"known-zero wire {w} outside 0..{path.n_wires - 1}")
+    chosen = None
+    if coupling is not None:
+        if coupling.n_wires != path.n_wires:
+            raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
+        moved, first, last = _coupled_spans(path, coupling)
+        chosen = first if policy == "earliest" else last
+    zeros = set(known_zero)
     ledger = PhaseLedger(path.n_wires)
+    swaps: list[Gate | None] = []  # one per swap of the path; None for a |00> fixed point
     pending: list[PendingCZ] = []
-    for j, ((a, b), values) in enumerate(zip(path.pairs, moved)):
-        ledger.record_swap(a, b)
-        span = chosen.get((min(values), max(values)))
-        if span is None:
-            raise UnschedulableCZError(
-                j, f"deferred CZ of swap {j} has no legal slot on this coupling map"
-            )
-        pending.append(PendingCZ(j, values, *span))
+    for j, (a, b) in enumerate(path.pairs):
+        a_zero, b_zero = a in zeros, b in zeros
+        if a_zero and b_zero:
+            swaps.append(None)
+        elif a_zero or b_zero:
+            zero_w, data_w = (a, b) if a_zero else (b, a)
+            swaps.append(Gate(gates.ISWAP, (a, b)))
+            ledger.record_one_sided(data_w, zero_w)
+            zeros.remove(zero_w)
+            zeros.add(data_w)
+        else:
+            ledger.record_swap(a, b)
+            swaps.append(Gate(gates.ISCZ if chosen is None else gates.ISWAP, (a, b)))
+            if chosen is not None:
+                values = moved[j]
+                span = chosen.get((min(values), max(values)))
+                if span is None:
+                    msg = f"deferred CZ of swap {j} has no legal slot on this coupling map"
+                    raise UnschedulableCZError(j, msg)
+                pending.append(PendingCZ(j, values, *span))
 
-    # the CZs of slot t go before iSWAP t, in wire order
-    by_slot: list[list[tuple[int, int]]] = [[] for _ in range(len(path.pairs) + 1)]
+    # the CZs of slot t go just before swap t's gate, in wire order
+    by_slot: dict[int, list[tuple[int, int]]] = {}
     for p in pending:
-        by_slot[p.slot].append(p.wires)
-    body = [Gate(gates.CZ, w) for w in sorted(by_slot[0])]
-    for pair, cz_wires in zip(path.pairs, by_slot[1:]):
-        body.append(Gate(gates.ISWAP, pair))
-        body += [Gate(gates.CZ, w) for w in sorted(cz_wires)]
-    circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()))
-    return CompileResult(circuit, ledger, pending=tuple(pending))
+        by_slot.setdefault(p.slot, []).append(p.wires)
+    body: list[Gate] = []
+    for t, g in enumerate(swaps + [None]):
+        if t in by_slot:
+            body += [Gate(gates.CZ, w) for w in sorted(by_slot[t])]
+        if g is not None:
+            body.append(g)
+    circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()), known_zero)
+    return CompileResult(circuit, ledger, frozenset(zeros), tuple(pending))
+
+
+def compile_iscz(path: SwapPath) -> CompileResult:
+    """Every SWAP becomes one fused iSCZ; one trailing phase layer."""
+    return compile_ext(path)
+
+
+def compile_ext1(path: SwapPath, known_zero: frozenset[int] | set[int]) -> CompileResult:
+    """Zero-aware compilation: SWAPs touching a tracked |0> drop their CZ."""
+    return compile_ext(path, known_zero=known_zero)
+
+
+def compile_ext2(path: SwapPath, coupling: CouplingMap, policy: str = "earliest") -> CompileResult:
+    """Connectivity-aware compilation: bare iSWAPs, each CZ deferred to a legal slot."""
+    return compile_ext(path, coupling, policy=policy)
+
+
+def unfuse_iscz(circuit: Circuit) -> Circuit:
+    """Split every fused iSCZ into iSWAP followed by CZ (they commute)."""
+    body: list[Gate] = []
+    for g in circuit.gates:
+        if g.kind.name == "iscz":
+            body.append(Gate(gates.ISWAP, g.wires))
+            body.append(Gate(gates.CZ, g.wires))
+        else:
+            body.append(g)
+    return Circuit(circuit.n_wires, tuple(body), circuit.known_zero)
+
+
+def compile_cnot_baseline(path: SwapPath) -> Circuit:
+    """Textbook baseline: three CNOTs per SWAP, no phase corrections."""
+    body = []
+    for a, b in path.pairs:
+        body.append(Gate(gates.CNOT, (a, b)))
+        body.append(Gate(gates.CNOT, (b, a)))
+        body.append(Gate(gates.CNOT, (a, b)))
+    return Circuit(path.n_wires, tuple(body))
 
 
 def _permuted_indices(path: SwapPath) -> np.ndarray:

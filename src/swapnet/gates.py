@@ -25,8 +25,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GateKind:
-    """A gate name plus its fixed angle parameters (if any), stored as a
-    tuple of floats; a bool or a non-number is refused."""
+    """A gate name plus its fixed angle parameters (if any): a tuple or list of
+    numbers, stored as a tuple of floats; a bool or a non-number is refused."""
 
     name: str
     params: tuple[float, ...] = ()
@@ -34,11 +34,11 @@ class GateKind:
     def __post_init__(self):
         if self.name not in ARITY:
             raise ValueError(f"unknown gate name: {self.name!r}")
+        if not isinstance(self.params, (tuple, list)):
+            raise ValueError(f"gate {self.name!r} params must be a tuple or list, got {self.params!r:.40}")
         want = N_PARAMS[self.name]
         if len(self.params) != want:
-            raise ValueError(
-                f"gate {self.name!r} takes {want} params, got {len(self.params)}"
-            )
+            raise ValueError(f"gate {self.name!r} takes {want} params, got {len(self.params)}")
         for p in self.params:
             try:
                 finite = not isinstance(p, bool) and isinstance(p, Real) and math.isfinite(p)

@@ -57,9 +57,10 @@ def complete(n):
 
 
 def legal_cz_slots(path, coupling, swap_index):
-    """All slots t (CZ after the first t iSWAPs) where swap_index's two values
-    sit on a coupled edge.  Always contains swap_index and swap_index + 1 when
-    the path runs on the map's edges.  A plain scan over every slot."""
+    """All slots t (CZ after the first t swaps of the path) where swap_index's
+    two values sit on a coupled edge.  Always contains swap_index and
+    swap_index + 1 when the path runs on the map's edges.  A plain scan over
+    every slot."""
     if coupling.n_wires != path.n_wires:
         raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
     m = len(path.pairs)

@@ -73,6 +73,9 @@ def test_verify_fails_on_wrong_circuit(capsys, tmp_path, path_file):
     ("iscz", [], "mode=iscz swaps=4 gates=8 1q=4 2q=4 3q=0 depth=4 2q_depth=3 corrections=4"),
     ("ext2", ["--coupling", "line.json"],
      "mode=ext2 swaps=4 gates=12 1q=4 2q=8 3q=0 depth=7 2q_depth=6 corrections=4"),
+    # the known zero drops the CZs of swaps 0 and 2, and swap 1's CZ moves to slot 0
+    ("ext2", ["--coupling", "line.json", "--known-zero", "0"],
+     "mode=ext2 swaps=4 gates=9 1q=3 2q=6 3q=0 depth=6 2q_depth=5 corrections=3"),
 ])
 def test_compile_metrics_line_is_pinned(capsys, tmp_path, monkeypatch, mode, extra, line):
     # the same documents and lines as the console-script step in CI
@@ -81,6 +84,8 @@ def test_compile_metrics_line_is_pinned(capsys, tmp_path, monkeypatch, mode, ext
     (tmp_path / "line.json").write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
     rc, out, err = run(capsys, "compile", "--path", "p.json", "--mode", mode, *extra, "--out", "c.json")
     assert (rc, out, err) == (0, "", line + "\n")
+    rc, out, _ = run(capsys, "verify", "--path", "p.json", "--circuit", "c.json")
+    assert (rc, out) == (0, "max deviation: 0.000000e+00\n")
 
 
 def test_compile_ext1_and_ext2(capsys, tmp_path, path_file):
@@ -108,7 +113,6 @@ def test_compile_ext1_and_ext2(capsys, tmp_path, path_file):
         ("iscz", ["--policy", "latest"], "--policy"),
         ("cnot", ["--policy", "earliest"], "--policy"),
         ("ext1", ["--known-zero", "0", "--coupling", "line.json"], "--coupling"),
-        ("ext2", ["--known-zero", "0", "--coupling", "line.json"], "--known-zero"),
     ],
 )
 def test_compile_refuses_flags_its_mode_ignores(capsys, tmp_path, path_file, mode, extra, flag):
@@ -607,7 +611,7 @@ def compile_argv(draw):
     argv = ["compile", "--path", "path.json"]
     mode = draw(st.sampled_from(["iscz", "cnot", "ext1", "ext2"]))
     argv += ["--mode", mode]
-    if mode == "ext1":
+    if mode == "ext1" or (mode == "ext2" and draw(st.booleans())):
         argv += ["--known-zero", draw(st.sampled_from(["0", "0,1", "0,0", "", "x", "99", "-1"]))]
     if mode == "ext2":
         argv += ["--policy", draw(st.sampled_from(["earliest", "latest"]))]

@@ -25,6 +25,7 @@ from swapnet.compiler import (
     UnschedulableCZError,
     apply_reference_permutation,
     compile_cnot_baseline,
+    compile_ext,
     compile_ext1,
     compile_ext2,
     compile_iscz,
@@ -409,6 +410,91 @@ def test_property_ext2_takes_the_oracle_slot(walk, policy):
         assert p.wires == tuple(sorted(held.index(v) for v in p.values))
     assert validate(res.circuit, coupling) == []
     assert verify_equivalence(path, res.circuit) == 0.0
+
+
+@st.composite
+def ext_cases(draw):
+    """A coupling map with a path on its edges (an edge walk, or a routed
+    permutation on the line), a random set of known-zero wires and a policy."""
+    if draw(st.booleans()):
+        path, coupling = draw(edge_walks())
+    else:
+        n = draw(st.integers(2, 10))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        path, coupling = route_linear(random_permutation(n, rng)), CouplingMap.line(n)
+    zeros = draw(st.frozensets(st.integers(0, path.n_wires - 1), max_size=path.n_wires))
+    return path, coupling, zeros, draw(st.sampled_from(["earliest", "latest"]))
+
+
+@given(ext_cases())
+@settings(max_examples=150, deadline=None)
+def test_property_compile_ext_applies_both_extensions(case):
+    path, coupling, zeros, policy = case
+    # swap j needs its CZ unless one of the values it exchanges started on a known zero
+    free = []
+    for j, (a, b) in enumerate(path.pairs):
+        held = SwapPath(path.n_wires, path.pairs[:j]).value_at()
+        free.append(held[a] not in zeros and held[b] not in zeros)
+    end = path.value_at()
+    res, bare = compile_ext(path, coupling, zeros, policy), compile_ext(path, None, zeros, policy)
+    for r, kind in ((res, "cz"), (bare, "iscz")):
+        assert verify_equivalence(path, r.circuit, zeros) == 0.0
+        assert validate(r.circuit, coupling) == []
+        kinds = [g.kind.name for g in r.circuit.gates]
+        assert kinds.count("cz") + kinds.count("iscz") == kinds.count(kind) == sum(free)
+        assert r.circuit.known_zero == zeros
+        assert r.final_zeros == {w for w in range(path.n_wires) if end[w] in zeros}
+    ext1, ext2 = compile_ext1(path, zeros), compile_ext2(path, coupling, policy)
+    assert bare.circuit == ext1.circuit  # with no map the policy is checked, then unused
+    # ext1's rule on the swaps, ext2's on the CZs: the swap gates are ext1's
+    # with each iSCZ bare, and the deferred CZs are ext2's for the free swaps
+    skeleton = [Gate(gates.ISWAP, g.wires) if g.kind.name == "iscz" else g for g in ext1.circuit.gates]
+    assert [g for g in res.circuit.gates if g.kind.name != "cz"] == skeleton
+    assert res.pending == tuple(p for p in ext2.pending if free[p.swap_index])
+    assert res.ledger.counts == ext1.ledger.counts
+    if not zeros:
+        assert res.circuit == ext2.circuit
+
+
+def test_known_zeros_rescue_an_unschedulable_path():
+    # the path of test_ext2_names_the_first_unschedulable_swap: swaps 1 and 3
+    # exchange values 1 and 3, so a known zero on either needs neither CZ
+    line = CouplingMap.line(4)
+    path = SwapPath(4, ((0, 1), (0, 3), (1, 2), (0, 3), (2, 3)))
+    for zero in (1, 3):
+        for policy in ("earliest", "latest"):
+            res = compile_ext(path, line, {zero}, policy)
+            assert [p.swap_index for p in res.pending] == {1: [2, 4], 3: [0, 2]}[zero]
+            assert verify_equivalence(path, res.circuit, {zero}) == 0.0
+    for zero in (0, 2):
+        with pytest.raises(UnschedulableCZError) as err:
+            compile_ext(path, line, {zero})
+        assert err.value.swap_index == 1
+
+
+def test_dropping_any_deferred_cz_after_known_zeros_is_rejected():
+    path = route_linear(random_permutation(8, np.random.default_rng(8)))
+    zeros = {0, 5}
+    for policy in ("earliest", "latest"):
+        body = compile_ext(path, CouplingMap.line(8), zeros, policy).circuit.gates
+        at = [i for i, g in enumerate(body) if g.kind.name == "cz"]
+        assert 0 < len(at) < len(path)
+        for i in at:
+            mutant = Circuit(8, body[:i] + body[i + 1 :], frozenset(zeros))
+            assert verify_equivalence(path, mutant, zeros) >= 1.0
+
+
+def test_compile_ext_checks_its_arguments_with_or_without_a_map():
+    line = CouplingMap.line(5)
+    for coupling in (line, None):
+        with pytest.raises(ValueError, match="policy must be 'earliest' or 'latest', got 'soonest'"):
+            compile_ext(WORKED_PATH, coupling, policy="soonest")
+        with pytest.raises(ValueError, match="known-zero wire 5 outside 0..4"):
+            compile_ext(WORKED_PATH, coupling, {5})
+    with pytest.raises(ValueError, match="coupling map has 4 wires, path 5"):
+        compile_ext(WORKED_PATH, CouplingMap.line(4), {0})
+    res = compile_iscz(WORKED_PATH)
+    assert (res.final_zeros, res.pending) == (frozenset(), ())
 
 
 @given(random_line_paths())

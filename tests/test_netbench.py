@@ -374,6 +374,8 @@ WRONG_TYPED = {
     "params-bool": (
         lambda: gates.GateKind("fsim", (True, 2)), "gate 'fsim' needs finite numbers as params, got True"),
     "params-huge-int": (lambda: gates.GateKind("xyevol", (10**400,)), "gate 'xyevol' needs finite numbers"),
+    "params-bare-number": (
+        lambda: gates.GateKind("xyevol", 0.5), "gate 'xyevol' params must be a tuple or list, got 0.5"),
 }
 
 
