@@ -30,11 +30,10 @@ from .compiler import (
     verify_equivalence,
 )
 from .gates import ARITY, GateKind, gate_matrix
-from .netbench import BenchConfig, check_jobs, run_benchmark, summary_text, write_csv
+from .netbench import BENCH_WIRE_CAP, BenchConfig, check_jobs, run_benchmark, summary_text, write_csv
 from .qram import QramSpec, build_qram_circuit, count_gates, pipeline_schedule, verify_qram
 from .qram.build import qram_spec_from_dict
 from .qram.layout import TreeLayout
-from .sim import DENSITY_WIRE_CAP
 
 
 def _parse_list(text: str | None, what: str, convert: Callable[[str], Any] = int) -> tuple:
@@ -54,8 +53,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         lo, hi = (int(t) for t in text.split(".."))
     except ValueError:
         raise CircuitFormatError(f"bad sizes {text!r}; expected e.g. 3..8 or 3,5,7") from None
-    if lo < 2 or hi > DENSITY_WIRE_CAP:  # BenchConfig's bounds, before the range exists
-        raise CircuitFormatError(f"sizes {text!r} outside 2..{DENSITY_WIRE_CAP}")
+    if lo < 2 or hi > BENCH_WIRE_CAP:  # BenchConfig's bounds, before the range exists
+        raise CircuitFormatError(f"sizes {text!r} outside 2..{BENCH_WIRE_CAP}")
     return tuple(range(lo, hi + 1))
 
 

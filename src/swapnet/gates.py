@@ -186,6 +186,3 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
             [1, np.exp(2j * gt), np.exp(2j * gt), 1]
         ).astype(complex)
     raise ValueError(f"no matrix for kind {kind!r}")
-
-
-PAULI_1Q = {"I": _FIXED["i"], "X": _FIXED["x"], "Y": _FIXED["y"], "Z": _FIXED["z"]}

@@ -9,14 +9,26 @@ Three compilation modes per trial, all realizing the same routed permutation:
 Each trial draws a uniform permutation (Fisher-Yates), routes it on the line
 with odd-even transposition (round 0 compares even pairs (0,1), (2,3), ...),
 and runs a Haar-random single-qubit product input through the compiled
-circuit twice: once pure (fidelity against the ideal permutation of the
-input, which should be 1 up to roundoff) and once with a two-qubit
-depolarizing channel after every two-qubit gate (fidelity against the
-circuit's own noiseless output).  The noisy run holds no density matrix:
-every benchmark gate is Clifford, so `noisy_fidelity` prices the noise
-exactly from the input's squared Pauli weights, which each gate permutes
-and each channel scales.  The tests check it against a density matrix run
-through every gate and channel (`noisy_density` in tests/oracles.py).
+circuit (fidelity against the ideal permutation of the input, which should
+be 1 up to roundoff).  The noisy fidelity, against the circuit's own
+noiseless output with a two-qubit depolarizing channel of strength p after
+every two-qubit gate, is counted, not simulated.  Every mode compiles each
+swap to a Clifford block on its pair (SWAP times single-qubit Cliffords),
+so a Pauli string acts on the pair at all k noisy gates of the block or at
+none (Aaronson and Gottesman, arXiv:quant-ph/0406196), as it acts on either
+of the two values the swap exchanges or not.  With k = 3 (cnot), 1
+(iscz_fused) or 2 (iscz_unfused), and e(A) the number of swaps whose two
+values meet the value set A:
+
+    F = 2**-n sum over value sets A of (1-p)**(k e(A)).
+
+F does not depend on the input: on each wire of a pure product state the
+squared Pauli weights of X, Y and Z sum to 1/2, as does that of I, so the
+strings acting on exactly the values in A weigh 2**-n together.  The tests
+check `noisy_fidelity` against a density matrix run through every gate and
+channel (`noisy_density` in tests/oracles.py).  A trial's largest array is
+the noiseless statevector's n x 2**n basis map, so sizes stop at
+BENCH_WIRE_CAP.
 
 Per-trial randomness is seeded from (master seed, n, trial), so records do
 not depend on execution order and a parallel run reproduces a serial one.
@@ -28,9 +40,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, TextIO
 
 import numpy as np
 
@@ -42,10 +52,11 @@ from .compiler import (
     compile_iscz,
     unfuse_iscz,
 )
-from .gates import PAULI_1Q, GateKind, gate_matrix
-from .sim import DENSITY_WIRE_CAP, PureState, apply_circuit, check_strength, random_factors
+from .sim import PureState, apply_circuit, check_strength, random_factors
 
 MODES = ("cnot", "iscz_fused", "iscz_unfused")
+NOISY_GATES = dict(zip(MODES, (3, 1, 2)))  # two-qubit gates per swap
+BENCH_WIRE_CAP = 19  # the largest n that sim.check_basis_cap(n, 2**n) accepts
 
 
 @dataclass(frozen=True)
@@ -59,14 +70,14 @@ class BenchConfig:
         object.__setattr__(self, "sizes", tuple(integral(n, "size") for n in self.sizes))
         object.__setattr__(self, "trials", integral(self.trials, "trials"))
         object.__setattr__(self, "seed", integral(self.seed, "seed"))
-        if not self.sizes or any(not 2 <= n <= DENSITY_WIRE_CAP for n in self.sizes):
-            raise ValueError(f"sizes must be a nonempty list of 2 <= n <= {DENSITY_WIRE_CAP}")
+        if not self.sizes or any(not 2 <= n <= BENCH_WIRE_CAP for n in self.sizes):
+            raise ValueError(f"sizes must be a nonempty list of 2 <= n <= {BENCH_WIRE_CAP}")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError(f"sizes {self.sizes} repeat a size")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_strength(self.p)
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", float(self.p) + 0.0)  # -0.0 + 0.0 is +0.0
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -123,104 +134,25 @@ def compile_mode(path: SwapPath, mode: str) -> Circuit:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-_PAULIS = tuple(PAULI_1Q[c] for c in "IXYZ")  # digit 0..3 of a Pauli string
-
-
-@lru_cache(maxsize=256)
-def _pauli_table(kind: GateKind) -> tuple[int, ...] | None:
-    """The Clifford table of a kind: entry P is the Pauli string Q with
-    U P U^dag = +-Q.  A string over the gate's r operands is numbered in
-    base 4 with digits I, X, Y, Z, the first operand the most significant.
-    None when the kind is not Clifford, so some U P U^dag is no Pauli string."""
-    u = gate_matrix(kind)
-    r = kind.arity
-    strings = np.array([reduce(np.kron, ps, np.eye(1)) for ps in product(_PAULIS, repeat=r)])
-    table = []
-    for p in strings:
-        # coordinates Tr(Q^dag M) / 2**r of M = U P U^dag; their squares sum to 1
-        coords = np.einsum("qij,ij->q", strings.conj(), u @ p @ u.conj().T) / 2**r
-        q = int(np.argmax(abs(coords)))
-        if abs(abs(coords[q]) - 1) > 1e-12:
-            return None
-        table.append(q)
-    return tuple(table)
-
-
-def _gather_index(kind: GateKind, offsets: tuple[int, ...]) -> np.ndarray:
-    """Where each Pauli string over a span of wires takes its weight from
-    when a gate of this kind acts on the span's wires at `offsets`: the span
-    starts at the gate's lowest wire and ends at its highest, one base-4 axis
-    per wire, its first wire the most significant.  Axes off the gate pass
-    through."""
-    span, r = max(offsets) + 1, len(offsets)
-    strings = np.moveaxis(np.arange(4**span).reshape([4] * span), offsets, range(r))
-    came_from = strings.reshape(4**r, -1)[np.argsort(_pauli_table(kind))]
-    return np.moveaxis(came_from.reshape(strings.shape), range(r), offsets).ravel()
-
-
-def noisy_fidelity(circuit: Circuit, factors: Sequence[np.ndarray], p: float) -> float:
-    """<phi|rho|phi>, where phi is the circuit's noiseless output on the
-    product input of `factors` (one unit 2-vector per wire, wire 0 first) and
-    rho its output when every multi-qubit gate's operands are depolarized
-    with strength p right after the gate: what a density matrix run gate
-    by gate with sim.depolarize_pair after each multi-qubit gate gives, for
-    Clifford circuits, without a density matrix.
-
-    Heisenberg-picture Pauli tracking (Aaronson and Gottesman,
-    arXiv:quant-ph/0406196): with psi the input,
-    F = 2**-n sum_Q lambda_Q <psi|Q|psi>**2 over the 4**n Pauli strings Q,
-    where lambda_Q is (1-p) to the number of channels at which Q, carried
-    through the gates so far, acts on the channel's wires.  The weights
-    start as the Kronecker product of the per-wire [1, x**2, y**2, z**2] / 2,
-    (x, y, z) the wire's Bloch vector; each gate gathers them along its
-    `_pauli_table` into a second buffer, and each channel scales every one
-    but those that are the identity on its wires by 1-p.  Two 4**n float
-    buffers, capped like a density matrix at DENSITY_WIRE_CAP wires.
-    """
-    n = circuit.n_wires
+def noisy_fidelity(path: SwapPath, mode: str, p: float) -> float:
+    """The fidelity of `compile_mode(path, mode)`'s noisy output with its
+    noiseless one, on any pure product input: F of the module docstring.
+    The sets per hit count sum to 2**n exactly, so F is exactly 1 at p = 0
+    or with no swaps, and never above 1."""
     check_strength(p)
-    if len(factors) != n:
-        raise ValueError(f"{len(factors)} factors for a circuit on {n} wires")
-    if n > DENSITY_WIRE_CAP:
-        raise ValueError(f"refusing Pauli weights on {n} wires (cap {DENSITY_WIRE_CAP})")
-    bloch = []
-    for w, f in enumerate(factors):
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (2,) or not abs(np.vdot(f, f).real - 1) <= 1e-9:
-            raise ValueError(f"factor {w} is not a unit 2-vector")
-        a, b = f
-        ab = np.conj(a) * b
-        x, y, z = 2 * ab.real, 2 * ab.imag, abs(a) ** 2 - abs(b) ** 2
-        bloch.append(np.array([1.0, x * x, y * y, z * z]) / 2)
-    for i, g in enumerate(circuit.gates):
-        if _pauli_table(g.kind) is None:
-            raise ValueError(f"noisy_fidelity needs Clifford gates: gate {i} ({g}) is not Clifford")
-    # past the last noisy gate the gates only permute the weights, which keeps their sum
-    noisy = [i for i, g in enumerate(circuit.gates) if len(g.wires) >= 2]
-    stop = noisy[-1] + 1 if noisy and p > 0.0 else 0
-    weights = np.ones(1)
-    for v in bloch:
-        weights = np.outer(weights, v).ravel()  # the Kronecker product, wire 0 first
-    spare = np.empty_like(weights)
-    index_of: dict[tuple, np.ndarray] = {}
-    for g in circuit.gates[:stop]:
-        lo = min(g.wires)
-        key = (g.kind, tuple(w - lo for w in g.wires))
-        if key not in index_of:
-            index_of[key] = _gather_index(*key)
-        index = index_of[key]
-        gather_shape = (4**lo, len(index), -1)
-        # every index is in range; mode "raise" would buffer the output
-        np.take(weights.reshape(gather_shape), index, axis=1, out=spare.reshape(gather_shape), mode="clip")
-        if len(g.wires) >= 2:
-            # the gate kept the strings that are the identity on its wires in
-            # place, and the channel leaves them alone; the Ellipsis keeps a
-            # view when the gate covers every wire
-            np.multiply(spare, 1.0 - p, out=spare)
-            idle = (*(0 if w in g.wires else slice(None) for w in range(n)), ...)
-            np.copyto(spare.reshape([4] * n)[idle], weights.reshape([4] * n)[idle])
-        weights, spare = spare, weights
-    return float(weights.sum())
+    if mode not in NOISY_GATES:
+        raise ValueError(f"unknown mode {mode!r}")
+    n = path.n_wires
+    if n > BENCH_WIRE_CAP:
+        raise ValueError(f"refusing noisy fidelity on {n} wires (cap {BENCH_WIRE_CAP})")
+    sets = np.arange(2**n, dtype=np.uint32)
+    hits = np.zeros(2**n, dtype=np.uint32)  # uint16 would wrap at 65,536 swaps
+    held = list(range(n))
+    for a, b in path.pairs:
+        hits += (sets & ((1 << held[a]) | (1 << held[b]))) != 0
+        held[a], held[b] = held[b], held[a]
+    count = np.bincount(hits)
+    return float(count @ (1.0 - p) ** (NOISY_GATES[mode] * np.arange(len(count))) / 2**n)
 
 
 def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
@@ -228,15 +160,14 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, trial]))
     perm = random_permutation(n, rng)
     path = route_linear(perm)
-    factors = random_factors(n, rng)
-    state = PureState.product(factors)
+    state = PureState.product(random_factors(n, rng))
     ideal = apply_reference_permutation(path, state.vec)
     out = []
     for mode in MODES:
         circuit = compile_mode(path, mode)
         pure = apply_circuit(state, circuit)
         fid_clean = float(abs(np.vdot(ideal, pure.vec)) ** 2)
-        fid_noisy = noisy_fidelity(circuit, factors, config.p)
+        fid_noisy = noisy_fidelity(path, mode, config.p)
         met = metrics(circuit)
         out.append(
             TrialRecord(

@@ -33,7 +33,8 @@ silently allocate gigabytes.  A basis map holds an n x 2**n bit matrix, so
 `check_basis_cap` bounds statevectors at 19 wires before it exists.
 States copy the array they are built from, so the kernels never write into
 an array the caller still holds.  No command runs a density matrix:
-`netbench.noisy_fidelity` prices the benchmark's noise from Pauli weights.
+`netbench.noisy_fidelity` prices the benchmark's noise by counting value
+subsets.
 MixedState, depolarize_pair and the mixed branch of `fidelity` are on no
 command path: the tests build their dense noise reference from them, and
 the benchmark harness times them by name.

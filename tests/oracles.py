@@ -6,14 +6,14 @@ the monomial tables `propagate_basis` reads, so a test that compares the
 engine with them compares two computations, not one engine with itself.
 `layers` is the oracle for `metrics`, `legal_cz_slots` for `compile_ext2`'s
 one-sweep slot search, and `noisy_density` (a density matrix through every
-gate and channel) for `netbench.noisy_fidelity`; `extended`, `ring` and
-`complete` build test inputs.
+gate and channel) for `netbench.noisy_fidelity`, which counts value subsets
+instead of simulating; `extended`, `ring` and `complete` build test inputs.
 
-The rest left `src/` because only tests read them: `pauli_expansion` (with
-its `PauliExpansion`) checks gate matrices against their Pauli sums,
-`random_product_state` replays the benchmark's input draws, and
-`coupling_to_dict` and `qram_spec_to_dict` write the documents that the
-library's readers parse.
+The rest left `src/` because only tests read them: `PAULI_1Q` and
+`pauli_expansion` (with its `PauliExpansion`) check gate matrices against
+their Pauli sums, `random_product_state` replays the benchmark's input
+draws, and `coupling_to_dict` and `qram_spec_to_dict` write the documents
+that the library's readers parse.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,15 @@ import numpy as np
 
 from swapnet.circuit import Circuit, CouplingMap
 from swapnet.compiler import SwapPath
-from swapnet.gates import PAULI_1Q, gate_matrix
+from swapnet.gates import gate_matrix
 from swapnet.sim import PureState, depolarize_pair, random_factors
+
+PAULI_1Q = {
+    "I": np.array([[1, 0], [0, 1]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def layers(circuit):
@@ -107,7 +114,7 @@ def tensordot_apply(t, kind, axes, conj=False):
 def noisy_density(state, circuit, p):
     """The pure state's density matrix through the circuit gate by gate, each
     gate on two or more wires followed by a depolarizing channel of strength
-    p on its wires: the dense noise model noisy_fidelity prices."""
+    p on its wires: the dense noise model netbench.noisy_fidelity counts."""
     rho = state.to_density()
     for g in circuit.gates:
         rho.apply_gate(g)

@@ -4,9 +4,9 @@ Tolerances are pinned here: 1e-12 for gate algebra and Pauli reconstructions,
 1e-10 for compiled-circuit equivalence against the reference permutation,
 1e-9 for QRAM verification and benchmark noiseless fidelities.  Runtime caps
 are asserted where the claim includes one: the 200-path property sweep must
-finish under 60 s and the 1,800-record benchmark, priced by Pauli-weight
-propagation, under 600 s.  Run with -s
-to see the per-criterion lines; the -v test names carry the same verdicts.
+finish under 60 s and the 1,800-record benchmark, its noise priced by
+counting value subsets, under 600 s.  Run with -s to see the per-criterion
+lines; the -v test names carry the same verdicts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from swapnet.gates import (
     SDAG,
     SWAP,
     Z,
-    PAULI_1Q,
     gate_matrix,
 )
 from swapnet.netbench import BenchConfig, random_permutation, route_linear, run_benchmark
@@ -41,7 +40,7 @@ from swapnet.qram.counts import count_gates, merged_pair_count
 from swapnet.qram.schedule import pipeline_schedule
 from swapnet.qram.verify import verify_qram
 
-from oracles import pauli_expansion, ring
+from oracles import PAULI_1Q, pauli_expansion, ring
 
 TOL_ALGEBRA = 1e-12
 TOL_EQUIV = 1e-10

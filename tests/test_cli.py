@@ -171,6 +171,15 @@ def test_bench_csv_deterministic(capsys, tmp_path):
     assert "mode" in err1  # summary table on stderr
 
 
+def test_bench_writes_negative_zero_strength_as_zero(capsys):
+    rc, out, _ = run(capsys, "bench", "--sizes", "2,3", "--trials", "2", "--p", "-0.0")
+    assert rc == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    column = {name: [r[i] for r in rows] for i, name in enumerate(header)}
+    assert set(column["p"]) == {"0.0"}
+    assert set(column["fidelity_noisy"]) == {"1.0"}
+
+
 def test_bench_writes_files(capsys, tmp_path):
     csv_file = tmp_path / "r.csv"
     csv_file.write_text("old bytes\n")

@@ -21,7 +21,7 @@ from swapnet.gates import (
     zzevol,
 )
 
-from oracles import pauli_expansion
+from oracles import PAULI_1Q, pauli_expansion
 
 TOL = 1e-12
 
@@ -156,7 +156,7 @@ def test_xy_evolution_half_pi_middles_are_minus_i():
 
 def test_evolution_helpers_match_gate_matrix():
     # xyevol(gt) and zzevol(gt) are exp(-i*gt*H) for their documented H
-    p = gates.PAULI_1Q
+    p = PAULI_1Q
     for kind, h, gt in (
         (xyevol, (np.kron(p["X"], p["X"]) + np.kron(p["Y"], p["Y"])) / 2, 0.7),
         (zzevol, np.kron(p["Z"], p["Z"]), 1.2),

@@ -1,5 +1,5 @@
 """Benchmark harness: routing, per-trial determinism, output formats, and
-the Pauli-weight noise engine against the density-matrix oracle."""
+the counting noise engine against the density-matrix oracle."""
 
 import csv
 import hashlib
@@ -13,17 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swapnet import gates, netbench
-from swapnet.circuit import Circuit, Gate, metrics
-from swapnet.compiler import compile_iscz
-from swapnet.sim import (
-    DENSITY_WIRE_CAP,
-    PureState,
-    apply_circuit,
-    depolarize_pair,
-    fidelity,
-    random_factors,
-)
+from swapnet.circuit import metrics
+from swapnet.compiler import SwapPath
+from swapnet.sim import PureState, apply_circuit, check_basis_cap, depolarize_pair, fidelity
 from swapnet.netbench import (
+    BENCH_WIRE_CAP,
     MODES,
     BenchConfig,
     compile_mode,
@@ -91,7 +85,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(sizes=(1,))
     with pytest.raises(ValueError):
-        BenchConfig(sizes=(3, DENSITY_WIRE_CAP + 1))  # refused before any trial runs
+        BenchConfig(sizes=(3, BENCH_WIRE_CAP + 1))  # refused before any trial runs
     with pytest.raises(ValueError):
         BenchConfig(sizes=(3,), trials=0)
     with pytest.raises(ValueError):
@@ -149,7 +143,23 @@ def test_noiseless_fidelity_is_one_noisy_below():
     records = run_benchmark(SMALL)
     for r in records:
         assert abs(r.fidelity_noiseless - 1.0) <= 1e-9
-        assert r.fidelity_noisy <= 1.0 + 1e-12
+        assert r.fidelity_noisy <= 1.0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BenchConfig(sizes=tuple(range(2, 11)), trials=20, p=0.0, seed=3),
+        BenchConfig(sizes=(2, 3), trials=40, p=0.02, seed=3),
+    ],
+    ids=["p0", "small-n"],
+)
+def test_fidelity_noisy_is_exactly_one_without_noise_or_swaps(config):
+    # the subset counts sum to 2**n exactly, so no roundoff is left over
+    records = run_benchmark(config)
+    clean = [r for r in records if r.p == 0.0 or r.m_swaps == 0]
+    assert clean  # sizes 2 and 3 draw the identity permutation often
+    assert all(r.fidelity_noisy == 1.0 for r in clean)
 
 
 def test_modes_share_the_same_path_per_trial():
@@ -209,11 +219,11 @@ def _pinned_csv() -> str:
 
 
 def test_csv_bytes_for_a_fixed_seed_are_pinned():
-    # sha256 of the CSV written once fidelity_noisy came from Pauli weights
-    # rather than a density matrix, which moved it by at most 9e-16; any
-    # change to the records or their formatting changes it
+    # sha256 of the CSV written once fidelity_noisy came from counting value
+    # subsets rather than Pauli weights, which moved it by at most 8.9e-16;
+    # any change to the records or their formatting changes it
     digest = hashlib.sha256(_pinned_csv().encode()).hexdigest()
-    assert digest == "957728ddd06687ea88de5e3fee3d36b6bae612f51004737b316230417ac2550b"
+    assert digest == "5f3576020eeea6e409656d5969da28ae8c0c203ecbb621734f5b5850c71f784d"
 
 
 def test_csv_bytes_without_fidelity_noisy_are_pinned():
@@ -228,11 +238,12 @@ def test_csv_bytes_without_fidelity_noisy_are_pinned():
 
 
 def test_csv_bytes_at_the_widest_sizes_are_pinned():
-    # n = 10 has the widest Pauli-weight buffers the bench allows
+    # the largest sizes the bench took when it priced noise with 4**n
+    # Pauli weights; counting moved fidelity_noisy by at most 2.2e-16
     buf = io.StringIO()
     write_csv(run_benchmark(BenchConfig(sizes=(9, 10), trials=1, seed=0)), buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == "2fb806ee8540dc3c9f8267d5e677b00c98dd952277d177275044e8999257cbec"
+    assert digest == "33031730e322ad524553eec71dbd25196c9de14246581fcef797b296aa2234fe"
 
 
 def _density_fidelity(circuit, state, p):
@@ -254,110 +265,73 @@ def test_every_bench_record_matches_the_density_oracle(p):
         assert abs(r.fidelity_noisy - want) <= ORACLE_TOL, (r.n, r.mode, p)
 
 
-CLIFFORD_KINDS = (
-    gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ,
-    gates.S, gates.SDAG, gates.X, gates.Y, gates.Z,
-)
-
-
 @st.composite
-def clifford_circuits(draw):
+def swap_paths(draw):
     n = draw(st.integers(2, 6))
-    body = []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(CLIFFORD_KINDS))
-        # any order and any distance, so reversed and non-adjacent pairs occur
-        body.append(Gate(kind, tuple(draw(st.permutations(range(n)))[: kind.arity])))
-    return Circuit(n, tuple(body))
+    # any order and any distance, so reversed, non-adjacent and repeated pairs occur
+    pairs = draw(st.lists(st.permutations(range(n)).map(lambda w: tuple(w[:2])), max_size=8))
+    return SwapPath(n, tuple(pairs))
 
 
-@given(clifford_circuits(), st.sampled_from(STRENGTHS), st.integers(0, 2**32 - 1))
-@example(Circuit(2, (Gate(gates.CNOT, (1, 0)), Gate(gates.S, (1,)))), 0.3, 1)
-@example(Circuit(4, (Gate(gates.ISWAP, (3, 0)), Gate(gates.CNOT, (0, 2)), Gate(gates.Y, (1,)))), 0.02, 2)
-@example(Circuit(5, (Gate(gates.CZ, (4, 1)), Gate(gates.SWAP, (0, 3)), Gate(gates.ISCZ, (2, 1)))), 1.0, 3)
+@given(swap_paths(), st.sampled_from(MODES), st.sampled_from(STRENGTHS), st.integers(0, 2**32 - 1))
+@example(SwapPath(2, ((1, 0), (0, 1))), "iscz_unfused", 0.3, 1)
+@example(SwapPath(4, ((3, 0), (0, 2), (3, 0))), "cnot", 0.02, 2)
+@example(SwapPath(5, ((4, 1), (0, 3), (2, 1))), "iscz_fused", 1.0, 3)
 @settings(max_examples=120, deadline=None)
-def test_noisy_fidelity_matches_the_density_oracle_on_clifford_circuits(circuit, p, seed):
-    factors = random_factors(circuit.n_wires, np.random.default_rng(seed))
-    want = _density_fidelity(circuit, PureState.product(factors), p)
-    assert abs(noisy_fidelity(circuit, factors, p) - want) <= ORACLE_TOL
+def test_noisy_fidelity_matches_the_density_oracle_on_any_input(path, mode, p, seed):
+    # the count holds for every pure product input, so two different ones
+    # must both give it
+    circuit = compile_mode(path, mode)
+    got = noisy_fidelity(path, mode, p)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        state = random_product_state(path.n_wires, rng)
+        assert abs(got - _density_fidelity(circuit, state, p)) <= ORACLE_TOL
 
 
-def _fused_closed_form(path, p: float) -> float:
-    """2**-n sum over value sets A of (1-p)**(swaps whose two values meet A):
-    an iSCZ is a SWAP times single-qubit S gates, so a Pauli string keeps the
-    set of values it acts on, and a pure input's weights over strings on a
-    set A sum to 1 whatever the state."""
-    held = list(range(path.n_wires))
-    sets = np.arange(2**path.n_wires)
-    hits = np.zeros_like(sets)
-    for a, b in path.pairs:
-        hits += (sets & ((1 << held[a]) | (1 << held[b]))) != 0
-        held[a], held[b] = held[b], held[a]
-    return float(np.mean((1.0 - p) ** hits))
-
-
-@given(st.integers(2, 8).flatmap(lambda n: st.permutations(range(n))),
-       st.sampled_from((0.02, 0.3)), st.integers(0, 2**32 - 1))
-@example([3, 2, 1, 0], 0.02, 0)
-@settings(max_examples=60, deadline=None)
-def test_fused_mode_has_a_closed_form_independent_of_the_input(perm, p, seed):
-    path = route_linear(tuple(perm))
-    factors = random_factors(path.n_wires, np.random.default_rng(seed))
-    got = noisy_fidelity(compile_iscz(path).circuit, factors, p)
-    assert abs(got - _fused_closed_form(path, p)) <= ORACLE_TOL
-
-
-@pytest.mark.parametrize("kind", [gates.CCX, gates.CSWAP, gates.fsim(0.3, 0.2)], ids=str)
-def test_noisy_fidelity_refuses_a_non_clifford_gate_by_name(kind):
-    g = Gate(kind, tuple(range(kind.arity)))
-    circuit = Circuit(3, (Gate(gates.CZ, (0, 1)), g))
-    with pytest.raises(ValueError, match=re.escape(f"gate 1 ({g}) is not Clifford")):
-        noisy_fidelity(circuit, random_factors(3, np.random.default_rng(0)), 0.02)
-
-
-def test_noisy_fidelity_checks_every_gate_before_any_weight_exists():
-    # a non-adjacent gate's gather index spans 4**10 strings, and the refused
-    # gate comes after it, so neither may be built
-    n = DENSITY_WIRE_CAP
-    circuit = Circuit(n, (Gate(gates.CZ, (0, n - 1)), Gate(gates.CNOT, (0, 1)), Gate(gates.CCX, (0, 1, 2))))
-    factors = random_factors(n, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"gate 2 \(ccx 0 1 2\)"):
-            noisy_fidelity(circuit, factors, 0.02)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4**n  # one 4**n float buffer is 8 MiB
+@pytest.mark.parametrize("mode", MODES)
+def test_a_long_path_counts_every_swap(mode):
+    # 70,000 swaps on one pair: every nonempty value set meets all of them,
+    # a count that wraps past 65,535 would not
+    m, p = 70_000, 1e-5
+    k = netbench.NOISY_GATES[mode]
+    want = (1 + 3 * (1 - p) ** (k * m)) / 4
+    assert abs(noisy_fidelity(SwapPath(2, ((0, 1),) * m), mode, p) - want) <= ORACLE_TOL
 
 
 def test_noisy_fidelity_refuses_bad_input():
-    factors = random_factors(3, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="2 factors for a circuit on 3 wires"):
-        noisy_fidelity(Circuit(3), factors[:2], 0.02)
-    with pytest.raises(ValueError, match="factor 1 is not a unit 2-vector"):
-        noisy_fidelity(Circuit(3), [factors[0], 2 * factors[1], factors[2]], 0.02)
-    with pytest.raises(ValueError, match="factor 2 is not a unit 2-vector"):
-        noisy_fidelity(Circuit(3), [factors[0], factors[1], np.ones(3) / 3**0.5], 0.02)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="factor 0 is not a unit 2-vector"):
-            noisy_fidelity(Circuit(3), [[bad, 0], [1, 0], [1, 0]], 0.02)
-        with pytest.raises(ValueError, match="factor 2 is not a unit 2-vector"):
-            noisy_fidelity(Circuit(3), [[1, 0], [0, 1], [0, bad]], 0.02)
-    for p in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="depolarizing strength"):
-            noisy_fidelity(Circuit(3), factors, p)
-    n = DENSITY_WIRE_CAP + 1
-    with pytest.raises(ValueError, match=f"refusing Pauli weights on {n} wires"):
-        noisy_fidelity(Circuit(n), random_factors(n, np.random.default_rng(0)), 0.02)
+    # each refusal comes before the 2**n count buffers exist
+    wide = SwapPath(BENCH_WIRE_CAP + 1, ((0, 1),))
+    widest = SwapPath(BENCH_WIRE_CAP, ((0, 1),))
+    cases = [
+        (lambda: noisy_fidelity(wide, "cnot", 0.02), f"refusing noisy fidelity on {BENCH_WIRE_CAP + 1} wires"),
+        (lambda: noisy_fidelity(widest, "nosuch", 0.02), "unknown mode 'nosuch'"),
+    ]
+    cases += [(lambda p=p: noisy_fidelity(widest, "cnot", p), "depolarizing strength") for p in (-0.1, 1.5, float("nan"))]
+    for call, named in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**BENCH_WIRE_CAP  # a uint32 count buffer at 19 wires is 2 MiB
 
 
-def test_noise_applies_only_after_multi_qubit_gates():
-    plus = [np.array([1, 1]) / np.sqrt(2), np.array([1, 0])]  # |+0>
-    assert abs(noisy_fidelity(Circuit(2, (Gate(gates.S, (0,)),)), plus, 0.5) - 1.0) <= ORACLE_TOL
-    zero = [np.array([1, 0])] * 2
-    cz = Circuit(2, (Gate(gates.CZ, (0, 1)),))  # the channel takes |00> to I/4
-    assert abs(noisy_fidelity(cz, zero, 1.0) - 0.25) <= ORACLE_TOL
+def test_bench_runs_past_the_density_matrix_cap():
+    check_basis_cap(BENCH_WIRE_CAP, 2**BENCH_WIRE_CAP)  # the noiseless statevector fits
+    with pytest.raises(ValueError):
+        check_basis_cap(BENCH_WIRE_CAP + 1, 2 ** (BENCH_WIRE_CAP + 1))
+    BenchConfig(sizes=(19,))
+    with pytest.raises(ValueError, match="^sizes"):
+        BenchConfig(sizes=(20,))
+    records = run_benchmark(BenchConfig(sizes=(12,), trials=1, p=0.02, seed=0))
+    assert records[0].m_swaps >= 1
+    for r in records:
+        assert abs(r.fidelity_noiseless - 1.0) <= 1e-9
+    f = {r.mode: r.fidelity_noisy for r in records}
+    assert f["iscz_fused"] > f["iscz_unfused"] > f["cnot"]
 
 
 WRONG_TYPED = {
@@ -365,7 +339,7 @@ WRONG_TYPED = {
     "bench-p-none": (lambda: BenchConfig(sizes=(3,), p=None), "depolarizing strength None"),
     "bench-p-bool": (lambda: BenchConfig(sizes=(3,), p=True), "depolarizing strength True"),
     "noisy-fidelity-p-str": (
-        lambda: noisy_fidelity(Circuit(2), [[1, 0], [1, 0]], "0.1"), "depolarizing strength '0.1'"),
+        lambda: noisy_fidelity(SwapPath(2, ()), "cnot", "0.1"), "depolarizing strength '0.1'"),
     "depolarize-p-none": (
         lambda: depolarize_pair(PureState.basis(2).to_density(), (0, 1), None),
         "depolarizing strength None"),
