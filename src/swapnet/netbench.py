@@ -145,14 +145,24 @@ def noisy_fidelity(path: SwapPath, mode: str, p: float) -> float:
     n = path.n_wires
     if n > BENCH_WIRE_CAP:
         raise ValueError(f"refusing noisy fidelity on {n} wires (cap {BENCH_WIRE_CAP})")
+    return _priced(_hit_counts(path), NOISY_GATES[mode], p)
+
+
+def _hit_counts(path: SwapPath) -> np.ndarray:
+    """How many value sets A have each e(A) = 0, 1, ...; the same for every mode."""
+    n = path.n_wires
     sets = np.arange(2**n, dtype=np.uint32)
     hits = np.zeros(2**n, dtype=np.uint32)  # uint16 would wrap at 65,536 swaps
     held = list(range(n))
     for a, b in path.pairs:
         hits += (sets & ((1 << held[a]) | (1 << held[b]))) != 0
         held[a], held[b] = held[b], held[a]
-    count = np.bincount(hits)
-    return float(count @ (1.0 - p) ** (NOISY_GATES[mode] * np.arange(len(count))) / 2**n)
+    return np.bincount(hits)
+
+
+def _priced(count: np.ndarray, k: int, p: float) -> float:
+    """F at k noisy gates per swap, from the _hit_counts."""
+    return float(count @ (1.0 - p) ** (k * np.arange(len(count))) / count.sum())
 
 
 def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
@@ -162,12 +172,13 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     path = route_linear(perm)
     state = PureState.product(random_factors(n, rng))
     ideal = apply_reference_permutation(path, state.vec)
+    count = _hit_counts(path)
+    fused = compile_iscz(path).circuit
     out = []
-    for mode in MODES:
-        circuit = compile_mode(path, mode)
+    for mode, circuit in zip(MODES, (compile_cnot_baseline(path), fused, unfuse_iscz(fused))):
         pure = apply_circuit(state, circuit)
         fid_clean = float(abs(np.vdot(ideal, pure.vec)) ** 2)
-        fid_noisy = noisy_fidelity(path, mode, config.p)
+        fid_noisy = _priced(count, NOISY_GATES[mode], config.p)
         met = metrics(circuit)
         out.append(
             TrialRecord(

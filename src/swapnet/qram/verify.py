@@ -8,14 +8,14 @@ the circuit's output from the expected basis vector, which catches wrong
 values, unrestored ancillas, and phase errors alike.
 
 Every gate the builder emits, the ccx Toffoli included, is a permutation with
-power-of-i phases.  So all inputs are pushed through the circuit at once as a
-bit matrix plus an integer phase power mod 4 (sim.propagate_basis), and the
-deviation is exact: 0, sqrt 2 or 2 for a right output with phase 1, +-i or
--1, and 1 for a wrong one.  A circuit with any other gate, such as one read
-from a file, is refused with a ValueError before any input is built.  The
-one size bound is the engine's: checked_layout refuses a layout whose
-(wires x 2**(n+k)) bit matrix is over sim.BASIS_ENTRY_CAP entries, before
-anything is built.
+power-of-i phases.  So all inputs are pushed through the circuit at once
+(sim.basis_deviation), each wire's row packed into one int and the phase
+power mod 4 into two more, and the deviation is exact: 0, sqrt 2 or 2 for
+a right output with phase 1, +-i or -1, and 1 for a wrong one.  A circuit
+with any other gate, such as one read from a file, is refused with a
+ValueError before any input is built.  The one size bound is the engine's:
+checked_layout refuses a layout whose (wires x 2**(n+k)) bit matrix is over
+sim.BASIS_ENTRY_CAP entries, before anything is built.
 """
 
 from __future__ import annotations

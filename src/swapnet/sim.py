@@ -13,10 +13,13 @@ circuit: gate ... is not monomial", which `_table` alone raises.
 
 A monomial gate sends a basis state to one basis state times a power of i,
 so one kernel, `propagate_basis`, runs every circuit: it pushes a batch of
-basis inputs through a circuit as a (wires x inputs) uint8 bit matrix plus
-an integer phase power mod 4 per input.  One cached table per kind,
-`_monomial`, holds the (input index -> output index, phase power) map it
-reads; `basis_steps` looks the tables up for a circuit, so every entry point
+basis inputs through a circuit bit-sliced (as in arXiv:quant-ph/0406196):
+each wire's row over the C inputs is one Python int, bit c for input c, and
+the phase power mod 4 two more, a low and a high bit plane.  Each kind's
+`_monomial` table is compiled once, on first use, into a `_program`: a
+GF(2) polynomial over the operand bits per moved bit and a Z4 one for the
+phase, so a gate is a few AND and XOR operations over C/64 machine words.
+`basis_steps` pairs each gate with its program, so every entry point
 refuses a gate outside the set before it builds anything.
 
 Amplitudes move along `basis_map(steps, n)`, the propagated image of all
@@ -40,11 +43,12 @@ command path: the tests build their dense noise reference from them, and
 the benchmark harness times them by name.
 
 Verification needs no amplitudes at all.  `basis_deviation` turns the
-propagated inputs into the dense max |U - P| exactly: 0, sqrt 2 or 2 for a
-column that lands on its expected index with phase 1, +-i or -1, and 1 for
-one that lands elsewhere.  Its one size bound, `check_basis_cap`, refuses a
-bit matrix over BASIS_ENTRY_CAP entries before the inputs exist.  `fidelity`
-compares a pure state with a pure or a mixed one.
+propagated inputs into the dense max |U - P| exactly, packed throughout: 0,
+sqrt 2 or 2 for a column that lands on its expected index with phase 1,
++-i or -1, and 1 for one that lands elsewhere.  Its one size bound,
+`check_basis_cap`, refuses a uint8 bit matrix over BASIS_ENTRY_CAP entries
+before the inputs exist; callers still build their inputs in that form.
+`fidelity` compares a pure state with a pure or a mixed one.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ from .gates import GateKind, gate_matrix
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
-BASIS_ENTRY_CAP = 1 << 24  # 16 MiB per uint8 bit matrix; QRAM (2, 17) at 12.5 MiB peaks at 60.5 MiB
+# 16 MiB per uint8 bit matrix as the verifiers build it (2 MiB packed); QRAM
+# (2, 17) at 12.5 MiB peaks at 60.5 MiB, nearly all of it the uint8 inputs
+BASIS_ENTRY_CAP = 1 << 24
 
 
 class PureState:
@@ -131,9 +137,8 @@ _PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
 _POWERS = np.array(_PHASES)
 
 
-@lru_cache(maxsize=256)
 def _monomial(kind: GateKind) -> tuple | None:
-    """The basis map of a monomial kind, the table propagate_basis reads.
+    """The basis map of a monomial kind, the table `_program` compiles.
 
     Column j of the matrix is i**power[j] times the basis vector dest[j].
     Returned as (moves, power): moves pairs each operand position whose bit
@@ -158,15 +163,58 @@ def _monomial(kind: GateKind) -> tuple | None:
     return tuple(moves), (power if power.any() else None)
 
 
-def _table(gate: Gate, index: int | None = None) -> tuple:
-    """The _monomial table of the gate's kind.  A gate outside the monomial set
-    is refused here and only here, named with its index in the circuit when
-    one is given."""
-    table = _monomial(gate.kind)
+def _moebius(values, modulus: int) -> list[int]:
+    """Coefficients, mod modulus, of the multilinear polynomial in the index
+    bits taking each index t to values[t] (Moebius transform): c[s] is the
+    sum over t within s of (-1)**|s - t| values[t]."""
+    n = len(values)
+    return [sum((-1) ** (s ^ t).bit_count() * int(values[t]) for t in range(n) if t & s == t) % modulus
+            for s in range(n)]
+
+
+@lru_cache(maxsize=256)
+def _program(name: str, params: tuple) -> tuple | None:
+    """_monomial's table as polynomials over the operand bits, the form
+    `_run` evaluates on packed rows; None when the kind is not monomial.
+
+    Slot 0 holds all ones and slot 1 + p operand p's row.  Returned as
+    (ands, outs, adds): each pair (i, j) of ands appends the AND of slots i
+    and j as a new slot; outs gives each moved operand p as (p, first,
+    rest), its new bit the XOR of those slots (its GF(2) form); adds lists
+    the (coefficient, slot) terms of the phase power mod 4.  For iswap,
+    outs sends each operand the other's slot and adds is x0 + x1 + 2 x0 x1."""
+    kind = GateKind(name, params)
+    table = _monomial(kind)
     if table is None:
+        return None
+    moves, power = table
+    a = kind.arity
+    slots = {0: 0} | {1 << (a - 1 - p): 1 + p for p in range(a)}  # operand set -> slot
+    ands: list[tuple[int, int]] = []
+
+    def slot(s: int) -> int:
+        if s not in slots:
+            ands.append((slot(s & -s), slot(s & (s - 1))))
+            slots[s] = a + len(ands)
+        return slots[s]
+
+    outs = []
+    for p, bit in moves:
+        first, *rest = (slot(s) for s, c in enumerate(_moebius(bit, 2)) if c)
+        outs.append((p, first, tuple(rest)))
+    adds = () if power is None else tuple((c, slot(s)) for s, c in enumerate(_moebius(power, 4)) if c)
+    return tuple(ands), tuple(outs), adds
+
+
+def _table(gate: Gate, index: int | None = None) -> tuple:
+    """The _program of the gate's kind.  A gate outside the monomial set is
+    refused here and only here, named with its index in the circuit when
+    one is given."""
+    program = _program(gate.kind.name, gate.kind.params)
+    if program is None:
         at = "" if index is None else f"{index} "
         raise ValueError(f"not a SWAP-network circuit: gate {at}({gate}) is not monomial")
-    return table
+    return program
 
 
 def _part(t: np.ndarray, axes: tuple[int, ...], i: int) -> np.ndarray:
@@ -250,7 +298,7 @@ _DEVIATION_BY_POWER = np.abs(_POWERS - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
 
 
 def basis_steps(circuit: Circuit) -> list[tuple[tuple[int, ...], tuple]]:
-    """Each gate's (wires, basis map), the form propagate_basis runs; refuses
+    """Each gate's (wires, _program), the form propagate_basis runs; refuses
     the first gate outside the monomial set."""
     return [(g.wires, _table(g, i)) for i, g in enumerate(circuit.gates)]
 
@@ -291,26 +339,50 @@ def basis_map(steps: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return basis_index(bits), power
 
 
+def _pack(bits: np.ndarray) -> list[int]:
+    """Each row of a (wires x columns) bit matrix as one int, bit c for column c."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+def _run(steps: list, rows: list[int], ones: int) -> tuple[int, int]:
+    """Run basis_steps on packed rows in place, ones having a bit set for
+    every column; returns the phase power's low and high bit planes."""
+    lo = hi = 0
+    row_of = rows.__getitem__
+    for wires, (ands, outs, adds) in steps:
+        v = [ones, *map(row_of, wires)]
+        for i, j in ands:
+            v.append(v[i] & v[j])
+        for c, s in adds:
+            m = v[s]
+            if c & 1:
+                hi ^= lo & m  # the carry
+                lo ^= m
+            if c & 2:
+                hi ^= m
+        for p, first, rest in outs:
+            row = v[first]
+            for s in rest:
+                row ^= v[s]
+            rows[wires[p]] = row
+    return lo, hi
+
+
 def propagate_basis(steps: list, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Push basis inputs through a circuit's basis_steps exactly, without any
     amplitudes.
 
     bits is a (wires x inputs) uint8 matrix: column c holds the bits of input
     c.  Returns the output bit matrix and, per input, the power k mod 4 of
-    the phase i**k the circuit multiplies in.
+    the phase i**k the circuit multiplies in.  The rows run packed.
     """
-    bits = np.array(bits, dtype=np.uint8)
-    phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
-    for wires, (moves, power) in steps:
-        idx = bits[wires[0]]
-        for w in wires[1:]:
-            idx = (idx << 1) | bits[w]
-        new = [(wires[p], bit[idx]) for p, bit in moves]
-        if power is not None:
-            phase += power[idx]
-        for w, row in new:
-            bits[w] = row
-    return bits, phase & 3
+    columns = bits.shape[1]
+    rows = _pack(bits)
+    rows += _run(steps, rows, (1 << columns) - 1)  # the output rows, then the phase planes
+    size = (columns + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), dtype=np.uint8)
+    out = np.unpackbits(packed.reshape(len(rows), size), axis=1, count=columns, bitorder="little")
+    return out[:-2], out[-2] | (out[-1] << 1)
 
 
 def basis_deviation(steps: list, inputs: np.ndarray, expected: np.ndarray) -> float:
@@ -318,11 +390,16 @@ def basis_deviation(steps: list, inputs: np.ndarray, expected: np.ndarray) -> fl
     basis_steps) named by the (wires x columns) bit matrix inputs, P sending
     each to its column of expected with phase 1: |i**k - 1| (0, sqrt 2 or 2)
     for a column that lands on its expected index, 1 for one that lands
-    elsewhere."""
-    bits, phase = propagate_basis(steps, inputs)
-    hit = np.all(bits == expected, axis=0)
-    worst = 0.0 if hit.all() else 1.0
-    return max(worst, float(_DEVIATION_BY_POWER[phase[hit]].max(initial=0.0)))
+    elsewhere.  Runs packed throughout."""
+    ones = (1 << inputs.shape[1]) - 1
+    rows = _pack(inputs)
+    lo, hi = _run(steps, rows, ones)
+    miss = 0
+    for row, want in zip(rows, _pack(expected)):
+        miss |= row ^ want
+    hit = ones ^ miss
+    power = 2 if hi & ~lo & hit else 1 if lo & hit else 0
+    return max(1.0 if miss else 0.0, float(_DEVIATION_BY_POWER[power]))
 
 
 def random_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:

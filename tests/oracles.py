@@ -2,8 +2,10 @@
 library computes another, faster way.
 
 The amplitude oracles build every amplitude from `gate_matrix`, never from
-the monomial tables `propagate_basis` reads, so a test that compares the
+the gate programs `propagate_basis` runs, so a test that compares the
 engine with them compares two computations, not one engine with itself.
+So does `dense_propagate`, which gathers basis inputs as uint8 rows through
+each gate's matrix: the dense reference for the packed engine.
 `layers` is the oracle for `metrics`, `legal_cz_slots` for `compile_ext2`'s
 one-sweep slot search, and `noisy_density` (a density matrix through every
 gate and channel) for `netbench.noisy_fidelity`, which counts value subsets
@@ -99,6 +101,28 @@ def dense_unitary(circuit):
         big = np.kron(m, np.eye(2 ** (n - w)))
         u = (p.T @ big @ p) @ u
     return u
+
+
+def dense_propagate(circuit, bits):
+    """The (wires x inputs) uint8 basis inputs pushed through the circuit gate
+    by gate with numpy gathers over whole rows: each gate's operand bits form
+    an index into the destination and phase power of its gate_matrix column.
+    Returns the output bits and the phase power mod 4 per input, the form
+    sim.propagate_basis gives from packed rows."""
+    bits = np.array(bits, dtype=np.uint8)
+    phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
+    for g in circuit.gates:
+        u = gate_matrix(g.kind)
+        dest = np.argmax(u != 0, axis=0)
+        power = np.array([[1, 1j, -1, -1j].index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
+        index = np.zeros(bits.shape[1], dtype=np.intp)
+        for w in g.wires:
+            index = (index << 1) | bits[w]
+        phase += power[index]
+        out = dest[index]
+        for p, w in enumerate(g.wires):
+            bits[w] = (out >> (len(g.wires) - 1 - p)) & 1
+    return bits, phase & 3
 
 
 def tensordot_apply(t, kind, axes, conj=False):

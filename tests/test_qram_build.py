@@ -316,6 +316,16 @@ def test_exhaustive_verification_of_a_seven_layer_tree():
     assert verify_qram(flip_one_bit(spec, seed=7), build) == 1.0
 
 
+def test_exhaustive_verification_of_a_nine_layer_tree():
+    # 1,042 wires x 2**13 inputs through about 32,000 gates, every input exact
+    (memory,) = memories(9, 4, 1, seed=94)
+    spec = QramSpec(9, 4, memory, extensions=True, pipeline=True)
+    build = build_qram_circuit(spec)
+    assert build.circuit.n_wires == 1042
+    assert verify_qram(spec, build) == 0.0
+    assert verify_qram(flip_one_bit(spec, seed=9), build) == 1.0
+
+
 def test_verification_cap_enforced():
     # 22 wires x 2**20 inputs is just over the 2**24-entry bound: refused
     # before the circuit or any input exists

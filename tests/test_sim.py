@@ -25,6 +25,7 @@ from swapnet.sim import (
     UNITARY_WIRE_CAP,
     MixedState,
     PureState,
+    _monomial,
     apply_circuit,
     basis_bits,
     basis_deviation,
@@ -37,6 +38,7 @@ from swapnet.sim import (
 )
 
 from oracles import (
+    dense_propagate,
     dense_unitary,
     extended,
     noisy_density,
@@ -245,6 +247,71 @@ def test_basis_deviation_is_exact():
     assert basis_deviation(basis_steps(swapped), expected, expected) == 1.0
     minus = extended(swapped, [Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
     assert basis_deviation(basis_steps(minus), expected, expected) == 2.0
+
+
+EVERY_MONOMIAL_KIND = [gates.I] + MONOMIAL_KINDS
+COLUMN_COUNTS = (1, 7, 8, 9, 63, 64, 65, 200)  # either side of a byte and of a 64-bit word
+
+
+@st.composite
+def packed_cases(draw):
+    """Up to twelve gates of any monomial kind on 1..6 wires, a column count
+    from COLUMN_COUNTS, random input bits with some rows all ones, and the
+    expected matrix basis_deviation compares with: the true outputs, or
+    those with one bit flipped."""
+    n = draw(st.integers(1, 6))
+    kinds = st.sampled_from([k for k in EVERY_MONOMIAL_KIND if k.arity <= n])
+    body = []
+    for kind in draw(st.lists(kinds, max_size=12)):
+        body.append(Gate(kind, tuple(draw(st.permutations(range(n)))[: kind.arity])))
+    columns = draw(st.sampled_from(COLUMN_COUNTS))
+    ones = sorted(draw(st.sets(st.integers(0, n - 1))))
+    flip = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, columns - 1)))
+    return Circuit(n, tuple(body)), columns, ones, flip, draw(st.integers(0, 2**32 - 1))
+
+
+@given(packed_cases())
+@example((Circuit(2, (Gate(gates.ISWAP, (0, 1)),)), 65, [0, 1], None, 0))
+@example((Circuit(3, (Gate(gates.X, (2,)), Gate(gates.CISWAP, (2, 0, 1)), Gate(gates.SDAG, (1,)))),
+          64, [0, 1], (2, 63), 1))
+@settings(max_examples=200, deadline=None)
+def test_packed_rows_match_the_dense_kernel_bit_for_bit(case):
+    """propagate_basis packs each row into one int; the oracle gathers uint8
+    rows through each gate_matrix.  Bits, phases and deviations agree at
+    every column count, the pad bits past the last column never leak in."""
+    c, columns, ones, flip, seed = case
+    inputs = np.random.default_rng(seed).integers(0, 2, size=(c.n_wires, columns), dtype=np.uint8)
+    inputs[ones] = 1
+    before = inputs.copy()
+    bits, phase = propagate_basis(basis_steps(c), inputs)
+    want_bits, want_phase = dense_propagate(c, inputs)
+    assert np.array_equal(inputs, before)
+    assert bits.dtype == phase.dtype == np.uint8
+    assert np.array_equal(bits, want_bits) and np.array_equal(phase, want_phase)
+
+    expected = want_bits.copy()
+    if flip is not None:
+        expected[flip] ^= 1
+    hit = np.all(want_bits == expected, axis=0)
+    worst = max([0.0 if hit.all() else 1.0] + [abs(1j ** int(k) - 1) for k in want_phase[hit]])
+    assert basis_deviation(basis_steps(c), inputs, expected) == worst
+
+
+@pytest.mark.parametrize("kind", EVERY_MONOMIAL_KIND, ids=str)
+def test_each_kind_program_reproduces_its_monomial_table(kind):
+    """The compiled program, evaluated one basis input at a time with 0/1
+    slots, gives _monomial's moved bits and phase power on all 2**r inputs."""
+    r = kind.arity
+    ((_, (ands, outs, adds)),) = basis_steps(Circuit(r, (Gate(kind, tuple(range(r))),)))
+    moves, power = _monomial(kind)
+    assert [p for p, _, _ in outs] == [p for p, _ in moves]
+    for j in range(2**r):
+        v = [1] + [(j >> (r - 1 - p)) & 1 for p in range(r)]
+        for a, b in ands:
+            v.append(v[a] & v[b])
+        for (_, first, rest), (_, bit) in zip(outs, moves):
+            assert (v[first] + sum(v[s] for s in rest)) % 2 == bit[j]
+        assert sum(c * v[s] for c, s in adds) % 4 == (0 if power is None else power[j])
 
 
 def test_bit_matrix_bound_is_two_to_the_24_entries():
