@@ -1,10 +1,10 @@
 """Circuit IR: gate lists over numbered wires, coupling maps, metrics, JSON.
 
-Gates are hash-consed: equal gates are one shared immutable object while any
-of them is alive, so each distinct gate is checked once however often it is
-emitted.  A Circuit is immutable.  known_zero records wires promised to start
-in |0>; compilation passes may rely on that promise and verification
-restricts input columns to it.
+Gates are hash-consed: equal gates are one shared immutable object for the
+life of the process, so each distinct gate is checked and stored once however
+often it is emitted.  A Circuit is immutable.  known_zero records wires
+promised to start in |0>; compilation passes may rely on that promise and
+verification restricts input columns to it.
 
 JSON schema (stable interchange format):
 
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import sys
-import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, TypeVar
 
 from .gates import ARITY, PHASE_BY_COUNT, GateKind
@@ -48,16 +48,18 @@ def integral(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# Every live Gate, keyed by its kind's name and params and its wires (hashing
-# those is cheaper than hashing the kind); an entry goes when its gate does.
-_GATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Every Gate built, keyed by its kind's name and params and its wires (hashing
+# those is cheaper than hashing the kind).  Entries never leave: each command is
+# one short process that holds every gate it built until it ends anyway.
+_GATES: dict[tuple, Gate] = {}
 
 
 @dataclass(frozen=True, init=False)
 class Gate:
     """A gate kind on distinct wires.  Equal gates are one shared immutable
-    object while any of them is alive: Gate(kind, wires) returns the live one
-    when there is one, and checks and stores a new one only otherwise."""
+    object: Gate(kind, wires) returns the one already built when there is one,
+    and checks and stores a new one only otherwise.  A refused gate is never
+    stored."""
 
     kind: GateKind
     wires: tuple[int, ...]
@@ -82,7 +84,7 @@ class Gate:
 
     def __reduce__(self):
         # rebuilt through Gate() with no state to write back, so pickle (every
-        # protocol), copy and deepcopy hand back the live gate untouched
+        # protocol), copy and deepcopy hand back the stored gate untouched
         return Gate, (self.kind, self.wires)
 
     def __str__(self) -> str:
@@ -178,31 +180,32 @@ class Metrics:
 def metrics(circuit: Circuit) -> Metrics:
     """Gate counts and depths in one pass over a per-wire frontier: each gate
     lands one layer past the busiest wire it touches (greedy ASAP layering),
-    and the two-qubit depth counts the layers holding a multi-wire gate."""
+    and the two-qubit depth counts the layers holding a multi-wire gate.
+    Gates touch one, two or three wires (gates.ARITY)."""
     frontier = [0] * circuit.n_wires
-    by_arity = [0, 0, 0, 0]
+    one = three = 0
     multi_wire = bytearray(len(circuit.gates) + 1)  # 1 at each layer with such a gate
-    for g in circuit.gates:
-        wires = g.wires
-        arity = len(wires)
-        by_arity[arity] += 1
-        if arity == 1:
-            frontier[wires[0]] += 1
-        elif arity == 2:
+    for wires in map(attrgetter("wires"), circuit.gates):
+        if len(wires) == 2:
             a, b = wires
             fa, fb = frontier[a], frontier[b]
             layer = frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
             multi_wire[layer] = 1
+        elif len(wires) == 1:
+            frontier[wires[0]] += 1
+            one += 1
         else:
-            layer = max([frontier[w] for w in wires]) + 1
-            for w in wires:
-                frontier[w] = layer
+            a, b, c = wires
+            fa, fb, fc = frontier[a], frontier[b], frontier[c]
+            layer = frontier[a] = frontier[b] = frontier[c] = max(fa, fb, fc) + 1
             multi_wire[layer] = 1
+            three += 1
+    total = len(circuit.gates)
     return Metrics(
-        total_gates=len(circuit.gates),
-        single_qubit_gates=by_arity[1],
-        two_qubit_gates=by_arity[2],
-        three_qubit_gates=by_arity[3],
+        total_gates=total,
+        single_qubit_gates=one,
+        two_qubit_gates=total - one - three,
+        three_qubit_gates=three,
         depth=max(frontier),
         two_qubit_depth=multi_wire.count(1),
     )

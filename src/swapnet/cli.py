@@ -23,7 +23,6 @@ from .circuit import (
     metrics,
 )
 from .compiler import (
-    UnschedulableCZError,
     compile_cnot_baseline,
     compile_ext,
     swap_path_from_dict,
@@ -265,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitFormatError, UnschedulableCZError, OSError, ValueError) as e:
+    except (CircuitFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,10 @@ compile_ext is the one loop that turns swaps into gates.  Ext1: a swap with
 one known |0> operand needs no CZ and one phase bump (the zero branch adds
 neither): a bare iSWAP, and the zero moves; two known zeros emit nothing.
 Ext2, given a coupling map: any other swap is a bare iSWAP, its CZ deferred to
-the earliest or latest slot at which its two values sit on an edge, both found
-for every value pair by one forward sweep in O(m * degree).  The rules commute:
+the earliest or latest slot at which its two values sit on an edge, the chosen
+one found for every value pair by one forward sweep in O(m * degree).  That
+sweep refuses a swap off the map, so every deferred CZ has a slot: its two
+values sit on the swap's edge just before and just after it.  The rules commute:
 following the values, iSWAPs are permutations times diagonals and CZs are
 diagonals, and the CZs ext1 drops act on a known zero, the identity anywhere.
 """
@@ -23,7 +25,7 @@ diagonals, and the CZs ext1 drops act on a known zero, the identity anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,14 +37,6 @@ from .circuit import (
 from .sim import (
     basis_bits, basis_deviation, basis_index, basis_steps, check_basis_cap, check_unitary_cap
 )
-
-
-class UnschedulableCZError(RuntimeError):
-    """No legal slot found for a deferred CZ (malformed path/coupling input)."""
-
-    def __init__(self, swap_index: int, message: str):
-        super().__init__(message)
-        self.swap_index = swap_index
 
 
 @dataclass(frozen=True)
@@ -134,8 +128,7 @@ def ledger_by_conjugation(path: SwapPath) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class PendingCZ:
+class PendingCZ(NamedTuple):
     """A deferred CZ from swap j: acts on the two logical values it entangled."""
 
     swap_index: int
@@ -152,34 +145,42 @@ class CompileResult:
     pending: tuple[PendingCZ, ...]
 
 
-def _coupled_spans(path: SwapPath, coupling: CouplingMap) -> tuple[list, dict, dict]:
-    """The two values each swap exchanges and, for each value pair that ever
-    sits on an edge, the (slot, sorted wires) of the first and of the last slot
-    at which it does.  A swap only moves the pairs on edges at its two wires."""
+def _coupled_spans(path: SwapPath, coupling: CouplingMap, latest: bool) -> tuple[list, dict]:
+    """For each swap, the two values it exchanges and their sorted pair; and
+    for each value pair that ever sits on an edge, the (slot, sorted wires) of
+    the first slot at which it does, or of the last one when latest.  A swap
+    only moves the pairs on edges at its two wires.  A swap off the map is
+    refused by index and wires."""
     around: list[list[tuple]] = [[] for _ in range(path.n_wires)]
     for a, b in coupling.edges:
         around[a].append((a, b, (a, b)))
         around[b].append((b, a, (a, b)))
-    every_edge = [(a, b, (a, b)) for a, b in coupling.edges]
     value_on = list(range(path.n_wires))
+    moved, slots = [], {}  # earliest keeps a pair's first entry, latest its last
 
-    def coupled(t: int, edges: list[tuple]) -> dict:
-        out = {}
+    def place(t: int, edges: list[tuple]) -> None:
         for c, d, wires in edges:
             u, v = value_on[c], value_on[d]
-            out[(u, v) if u < v else (v, u)] = (t, wires)
-        return out
+            pair = (u, v) if u < v else (v, u)
+            if latest or pair not in slots:
+                slots[pair] = (t, wires)
 
-    moved, first, last = [], coupled(0, every_edge), {}
+    every_edge = [(a, b, (a, b)) for a, b in coupling.edges]
+    if not latest:
+        place(0, every_edge)
     for t, (a, b) in enumerate(path.pairs, 1):
-        touched = around[a] + around[b]
-        last.update(coupled(t - 1, touched))  # a later slot overwrites it while still coupled
-        moved.append((value_on[a], value_on[b]))
-        value_on[a], value_on[b] = value_on[b], value_on[a]
-        for pair, span in coupled(t, touched).items():
-            first.setdefault(pair, span)
-    last.update(coupled(len(path.pairs), every_edge))
-    return moved, first, last
+        if ((a, b) if a < b else (b, a)) not in coupling.edges:
+            raise ValueError(f"swap {t - 1} on wires ({a}, {b}) is not an edge of the coupling map")
+        u, v = value_on[a], value_on[b]
+        moved.append(((u, v), (u, v) if u < v else (v, u)))
+        if latest:  # the pairs on these edges may leave them here
+            place(t - 1, around[a] + around[b])
+        value_on[a], value_on[b] = v, u
+        if not latest:  # or arrive here
+            place(t, around[a] + around[b])
+    if latest:
+        place(len(path.pairs), every_edge)
+    return moved, slots
 
 
 def compile_ext(
@@ -193,12 +194,11 @@ def compile_ext(
     for w in known_zero:
         if not 0 <= w < path.n_wires:
             raise ValueError(f"known-zero wire {w} outside 0..{path.n_wires - 1}")
-    chosen = None
+    slots = None
     if coupling is not None:
         if coupling.n_wires != path.n_wires:
             raise ValueError(f"coupling map has {coupling.n_wires} wires, path {path.n_wires}")
-        moved, first, last = _coupled_spans(path, coupling)
-        chosen = first if policy == "earliest" else last
+        moved, slots = _coupled_spans(path, coupling, policy == "latest")
     zeros = set(known_zero)
     ledger = PhaseLedger(path.n_wires)
     swaps: list[Gate | None] = []  # one per swap of the path; None for a |00> fixed point
@@ -215,25 +215,20 @@ def compile_ext(
             zeros.add(data_w)
         else:
             ledger.record_swap(a, b)
-            swaps.append(Gate(gates.ISCZ if chosen is None else gates.ISWAP, (a, b)))
-            if chosen is not None:
-                values = moved[j]
-                span = chosen.get((min(values), max(values)))
-                if span is None:
-                    msg = f"deferred CZ of swap {j} has no legal slot on this coupling map"
-                    raise UnschedulableCZError(j, msg)
-                pending.append(PendingCZ(j, values, *span))
+            swaps.append(Gate(gates.ISCZ if slots is None else gates.ISWAP, (a, b)))
+            if slots is not None:
+                values, pair = moved[j]
+                pending.append(PendingCZ(j, values, *slots[pair]))
 
     # the CZs of slot t go just before swap t's gate, in wire order
-    by_slot: dict[int, list[tuple[int, int]]] = {}
-    for p in pending:
-        by_slot.setdefault(p.slot, []).append(p.wires)
     body: list[Gate] = []
-    for t, g in enumerate(swaps + [None]):
-        if t in by_slot:
-            body += [Gate(gates.CZ, w) for w in sorted(by_slot[t])]
-        if g is not None:
-            body.append(g)
+    done = 0
+    for slot, wires in sorted((p.slot, p.wires) for p in pending):
+        if slot > done:
+            body += filter(None, swaps[done:slot])
+            done = slot
+        body.append(Gate(gates.CZ, wires))
+    body += filter(None, swaps[done:])
     circuit = Circuit(path.n_wires, tuple(body + ledger.phase_layer()), known_zero)
     return CompileResult(circuit, ledger, frozenset(zeros), tuple(pending))
 

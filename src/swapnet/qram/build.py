@@ -127,9 +127,20 @@ class _Builder:
         self.swap_kind = gates.ISWAP if spec.extensions else gates.SWAP
         self.cswap_kind = gates.CISWAP if spec.extensions else gates.CSWAP
         self.seg: list[Gate] = []
+        # each repeated gate run of this build (its kinds follow the spec), by its arguments
+        self.runs: dict[tuple, list[Gate]] = {}
 
     def emit(self, kind: gates.GateKind, *wires: int) -> None:
         self.seg.append(Gate(kind, tuple(wires)))
+
+    def emit_run(self, key: tuple, build: Callable[..., None], *args: Any) -> None:
+        """Emit the gates build(*args) emits, calling it only on key's first use."""
+        if key in self.runs:
+            self.seg.extend(self.runs[key])
+        else:
+            start = len(self.seg)
+            build(*args)
+            self.runs[key] = self.seg[start:]
 
     def build(self) -> QramBuild:
         self._setting()
@@ -189,6 +200,14 @@ class _Builder:
     # -- routing primitives -------------------------------------------------
 
     def _routing(self, j: int, setting: bool, up: bool = False) -> None:
+        self.emit_run(("routing", j, up), self._routing_gates, j, up)
+        if setting:
+            self.rec.setting_routing_pairs += 2**j
+        else:
+            self.rec.fetch_unidirectional_pairs += 2**j
+            self.rec.fetch_routing_ops += 1
+
+    def _routing_gates(self, j: int, up: bool) -> None:
         # the moving bit crosses exactly one member of the pair either branch:
         # going down, C-SWAP to the right child first, then SWAP to the left
         # child; going up, the same two gates in the opposite order
@@ -200,13 +219,14 @@ class _Builder:
                 Gate(self.swap_kind, (pd, lay.node_data(j + 1, 2 * m))),
             ]
             self.seg.extend(reversed(pair) if up else pair)
-        if setting:
-            self.rec.setting_routing_pairs += 2**j
-        else:
-            self.rec.fetch_unidirectional_pairs += 2**j
-            self.rec.fetch_routing_ops += 1
 
     def _routing_bidir(self, j: int) -> None:
+        self.emit_run(("bidir", j), self._routing_bidir_gates, j)
+        self.rec.fetch_bidirectional_pairs += 2**j
+        self.rec.fetch_routing_ops += 1
+        self.rec.merged_routings += 1
+
+    def _routing_bidir_gates(self, j: int) -> None:
         # one exchange parent.d <-> on-path child.d: anti-controlled to the
         # left child, controlled to the right; off-path parents exchange (0,0)
         lay = self.lay
@@ -216,9 +236,6 @@ class _Builder:
             self.emit(self.cswap_kind, aw, pd, lay.node_data(j + 1, 2 * m))
             self.emit(gates.X, aw)
             self.emit(self.cswap_kind, aw, pd, lay.node_data(j + 1, 2 * m + 1))
-        self.rec.fetch_bidirectional_pairs += 2**j
-        self.rec.fetch_routing_ops += 1
-        self.rec.merged_routings += 1
 
     # -- fetch stage --------------------------------------------------------
 
@@ -251,10 +268,10 @@ class _Builder:
         n = self.spec.n
         for cell in range(2**n):
             if self.spec.bit(cell, word):
-                self._mcx(
-                    self.lay.cell_path_controls(cell),
-                    self.lay.node_data(n - 1, cell >> 1),
-                )
+                self.emit_run(("copy", cell), self._copy_cell, cell)
+
+    def _copy_cell(self, cell: int) -> None:
+        self._mcx(self.lay.cell_path_controls(cell), self.lay.node_data(self.spec.n - 1, cell >> 1))
 
     def _parity_corrections(self, word: int) -> None:
         """Cancel (-1)^(z_word * fetched_bit_j) phases left by bidirectional

@@ -6,7 +6,8 @@ the gate programs `propagate_basis` runs, so a test that compares the
 engine with them compares two computations, not one engine with itself.
 So does `dense_propagate`, which gathers basis inputs as uint8 rows through
 each gate's matrix: the dense reference for the packed engine.
-`layers` is the oracle for `metrics`, `legal_cz_slots` for `compile_ext2`'s
+`layers` and `metrics_by_arity` (the generic loop `metrics` unrolls) are the
+oracles for `metrics`, `legal_cz_slots` for `compile_ext2`'s
 one-sweep slot search, and `noisy_density` (a density matrix through every
 gate and channel) for `netbench.noisy_fidelity`, which counts value subsets
 instead of simulating; `extended`, `ring` and `complete` build test inputs.
@@ -23,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from swapnet.circuit import Circuit, CouplingMap
+from swapnet.circuit import Circuit, CouplingMap, Metrics
 from swapnet.compiler import SwapPath
 from swapnet.gates import gate_matrix
 from swapnet.sim import PureState, depolarize_pair, random_factors
@@ -48,6 +49,39 @@ def layers(circuit):
         for w in g.wires:
             frontier[w] = layer + 1
     return out
+
+
+def metrics_by_arity(circuit):
+    """Gate counts and depths in one pass over a per-wire frontier: each gate
+    lands one layer past the busiest wire it touches (greedy ASAP layering),
+    and the two-qubit depth counts the layers holding a multi-wire gate."""
+    frontier = [0] * circuit.n_wires
+    by_arity = [0, 0, 0, 0]
+    multi_wire = bytearray(len(circuit.gates) + 1)  # 1 at each layer with such a gate
+    for g in circuit.gates:
+        wires = g.wires
+        arity = len(wires)
+        by_arity[arity] += 1
+        if arity == 1:
+            frontier[wires[0]] += 1
+        elif arity == 2:
+            a, b = wires
+            fa, fb = frontier[a], frontier[b]
+            layer = frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
+            multi_wire[layer] = 1
+        else:
+            layer = max([frontier[w] for w in wires]) + 1
+            for w in wires:
+                frontier[w] = layer
+            multi_wire[layer] = 1
+    return Metrics(
+        total_gates=len(circuit.gates),
+        single_qubit_gates=by_arity[1],
+        two_qubit_gates=by_arity[2],
+        three_qubit_gates=by_arity[3],
+        depth=max(frontier),
+        two_qubit_depth=multi_wire.count(1),
+    )
 
 
 def extended(circuit, more):

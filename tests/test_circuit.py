@@ -35,7 +35,7 @@ from swapnet.qram.counts import count_gates
 from swapnet.qram.layout import TreeLayout
 from swapnet.qram.schedule import pipeline_schedule
 
-from oracles import complete, coupling_to_dict, extended, layers, ring
+from oracles import complete, coupling_to_dict, extended, layers, metrics_by_arity, ring
 
 
 def iscz(a, b):
@@ -147,16 +147,18 @@ def test_pickle_and_copy_return_the_live_gate():
     assert all(x.kind is k for x, k in zip(c.gates, kinds))
 
 
-def test_the_table_lets_dead_gates_go():
+def test_the_table_keeps_every_gate_it_built():
     kind = gates.zzevol(0.123456789)  # no other test builds this gate
+    size = len(circuit_module._GATES)
     g = Gate(kind, (11, 12))
     ref = weakref.ref(g)
-    assert len(_stored(kind, (11, 12))) == 1
+    assert len(circuit_module._GATES) == size + 1
     del g
     gc.collect()
-    assert ref() is None
-    assert _stored(kind, (11, 12)) == {}
-    assert Gate(kind, (11, 12)).wires == (11, 12)  # rebuilt and checked afresh
+    assert ref() is not None and Gate(kind, (11, 12)) is ref()
+    assert len(_stored(kind, (11, 12))) == 1
+    assert Gate(kind, (12, 11)) is not ref() and Gate(kind, [12, 11]).wires == (12, 11)
+    assert len(circuit_module._GATES) == size + 2  # one entry per distinct gate
 
 
 def test_circuit_rejects_out_of_range_wires():
@@ -236,6 +238,14 @@ def test_property_metrics_match_the_layering_oracle(c):
         depth=len(lays),
         two_qubit_depth=sum(1 for lay in lays if any(len(g.wires) >= 2 for g in lay)),
     )
+
+
+@given(small_circuits(max_gates=40))
+@example(Circuit(1))
+@example(Circuit(1, (Gate(gates.X, (0,)), Gate(gates.S, (0,)))))
+@example(Circuit(4))
+def test_property_metrics_match_the_generic_loop(c):
+    assert metrics(c) == metrics_by_arity(c)
 
 
 @given(small_circuits())

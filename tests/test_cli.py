@@ -142,6 +142,19 @@ def test_qram_spec_file_refuses_inline_flags(capsys, tmp_path, command, extra, f
     assert err == f"error: --spec excludes {flag}\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--policy", "latest"], ["--known-zero", "0,2"]])
+def test_ext2_refuses_an_off_map_swap(capsys, tmp_path, monkeypatch, extra):
+    # the same documents as the console-script step in CI: swap 0 skips wire 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gap.json").write_text('{"n": 3, "path": [[0, 2], [0, 1]]}')
+    (tmp_path / "line3.json").write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    argv = ["compile", "--path", "gap.json", "--mode", "ext2", "--coupling", "line3.json", *extra]
+    rc, out, err = run(capsys, *argv, "--out", "c.json")
+    assert (rc, out) == (2, "")
+    assert err == "error: swap 0 on wires (0, 2) is not an edge of the coupling map\n"
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_ext2_without_coupling_is_usage_error(capsys, path_file):
     rc, _, err = run(capsys, "compile", "--path", path_file, "--mode", "ext2")
     assert rc == 2 and "error:" in err

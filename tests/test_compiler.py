@@ -22,7 +22,6 @@ from swapnet import gates
 from swapnet.circuit import Circuit, CouplingMap, Gate, load_json, metrics, validate
 from swapnet.compiler import (
     SwapPath,
-    UnschedulableCZError,
     apply_reference_permutation,
     compile_cnot_baseline,
     compile_ext,
@@ -241,12 +240,11 @@ def test_ext2_policy_and_shape_errors():
         compile_ext2(WORKED_PATH, CouplingMap.line(4))
 
 
-def test_ext2_unschedulable_raises():
-    # no edges at all: the deferred CZ has nowhere to go
+def test_ext2_refuses_an_off_map_swap():
+    # no edges at all: the swap itself is off the map
     empty = CouplingMap(2, frozenset())
-    with pytest.raises(UnschedulableCZError) as err:
+    with pytest.raises(ValueError, match=r"^swap 0 on wires \(0, 1\) is not an edge of the coupling map$"):
         compile_ext2(SwapPath(2, ((0, 1),)), empty)
-    assert err.value.swap_index == 0
 
 
 def test_legal_slots_contain_adjacent_slots_when_path_on_edges():
@@ -258,28 +256,28 @@ def test_legal_slots_contain_adjacent_slots_when_path_on_edges():
         legal_cz_slots(WORKED_PATH, line, 99)
 
 
-def test_ext2_names_the_first_unschedulable_swap():
-    # swaps 1 and 3 exchange values 1 and 3 across wires 0 and 3; the two
-    # values never sit on a line edge, so neither CZ has a slot
+def test_ext2_names_the_first_off_map_swap():
+    # swaps 1 and 3 exchange values 1 and 3 across wires 0 and 3, off the line;
+    # the two values never sit on a line edge, so neither CZ would have a slot
     line = CouplingMap.line(4)
     path = SwapPath(4, ((0, 1), (0, 3), (1, 2), (0, 3), (2, 3)))
     assert [legal_cz_slots(path, line, j) == [] for j in range(len(path))] == [
         False, True, False, True, False,
     ]
     for policy in ("earliest", "latest"):
-        with pytest.raises(UnschedulableCZError) as err:
+        with pytest.raises(ValueError, match=r"^swap 1 on wires \(0, 3\) is not an edge"):
             compile_ext2(path, line, policy)
-        assert err.value.swap_index == 1
 
 
-def test_ext2_schedules_an_off_edge_swap_once_its_values_meet():
-    # swap 0 exchanges values 0 and 2 across the gap; swap 1 brings them together
+def test_ext2_refuses_an_off_map_swap_whose_values_meet_later():
+    # swap 0 exchanges values 0 and 2 across the gap; swap 1 brings them
+    # together, so a CZ would have a slot, but the iSWAP itself is off the map
     path = SwapPath(3, ((0, 2), (0, 1)))
     line = CouplingMap.line(3)
     assert legal_cz_slots(path, line, 0) == [2]
     for policy in ("earliest", "latest"):
-        first = compile_ext2(path, line, policy).pending[0]
-        assert (first.values, first.slot, first.wires) == ((0, 2), 2, (1, 2))
+        with pytest.raises(ValueError, match=r"^swap 0 on wires \(0, 2\) is not an edge"):
+            compile_ext2(path, line, policy)
 
 
 def test_coupling_of_another_size_is_refused_by_both_routes():
@@ -412,6 +410,23 @@ def test_property_ext2_takes_the_oracle_slot(walk, policy):
     assert verify_equivalence(path, res.circuit) == 0.0
 
 
+@given(edge_walks(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_ext2_refuses_the_first_off_map_swap(walk, data):
+    path, coupling = walk
+    n = path.n_wires
+    off = [(a, b) for a in range(n) for b in range(n) if a != b and not coupling.has_edge(a, b)]
+    if not off:  # a complete map has no off-map pair
+        return
+    at = data.draw(st.integers(0, len(path)))
+    pair = data.draw(st.sampled_from(off))
+    bad = SwapPath(n, path.pairs[:at] + (pair,) + path.pairs[at:])
+    message = rf"^swap {at} on wires \({pair[0]}, {pair[1]}\) is not an edge of the coupling map$"
+    for policy in ("earliest", "latest"):
+        with pytest.raises(ValueError, match=message):
+            compile_ext2(bad, coupling, policy)
+
+
 @st.composite
 def ext_cases(draw):
     """A coupling map with a path on its edges (an edge walk, or a routed
@@ -456,20 +471,17 @@ def test_property_compile_ext_applies_both_extensions(case):
         assert res.circuit == ext2.circuit
 
 
-def test_known_zeros_rescue_an_unschedulable_path():
-    # the path of test_ext2_names_the_first_unschedulable_swap: swaps 1 and 3
-    # exchange values 1 and 3, so a known zero on either needs neither CZ
+def test_known_zeros_do_not_excuse_an_off_map_swap():
+    # the path of test_ext2_names_the_first_off_map_swap: a known zero on wire
+    # 1 or 3 would drop the CZs of swaps 1 and 3, but not their off-map iSWAPs
     line = CouplingMap.line(4)
     path = SwapPath(4, ((0, 1), (0, 3), (1, 2), (0, 3), (2, 3)))
-    for zero in (1, 3):
+    for zero in range(4):
         for policy in ("earliest", "latest"):
-            res = compile_ext(path, line, {zero}, policy)
-            assert [p.swap_index for p in res.pending] == {1: [2, 4], 3: [0, 2]}[zero]
-            assert verify_equivalence(path, res.circuit, {zero}) == 0.0
-    for zero in (0, 2):
-        with pytest.raises(UnschedulableCZError) as err:
-            compile_ext(path, line, {zero})
-        assert err.value.swap_index == 1
+            with pytest.raises(ValueError, match=r"^swap 1 on wires \(0, 3\) is not an edge"):
+                compile_ext(path, line, {zero}, policy)
+    with pytest.raises(ValueError, match=r"^swap 0 on wires \(0, 1\) is not an edge"):
+        compile_ext(SwapPath(2, ((0, 1),)), CouplingMap(2, frozenset()), {0, 1})  # emits nothing
 
 
 def test_dropping_any_deferred_cz_after_known_zeros_is_rejected():
