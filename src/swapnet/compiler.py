@@ -34,9 +34,7 @@ from .circuit import (
     MAX_WIRES, Circuit, CircuitFormatError, CouplingMap, Gate, as_int, as_list, as_pair, integral,
     phase_gates,
 )
-from .sim import (
-    basis_bits, basis_deviation, basis_index, basis_steps, check_basis_cap, check_unitary_cap
-)
+from .sim import basis_deviation, basis_steps, check_basis_cap, check_unitary_cap, counting_rows
 
 
 @dataclass(frozen=True)
@@ -270,29 +268,19 @@ def compile_cnot_baseline(path: SwapPath) -> Circuit:
     return Circuit(path.n_wires, tuple(body))
 
 
-def _permuted_indices(path: SwapPath) -> np.ndarray:
-    """Where the SWAP sequence sends each basis index: entry b is the index of
-    the output basis state for input basis state b: wire w ends up holding
-    the bit that started on wire value_at()[w]."""
-    n = path.n_wires
-    return basis_index(basis_bits(np.arange(2**n), n)[path.value_at()])
-
-
 def reference_permutation_unitary(path: SwapPath) -> np.ndarray:
     """The exact unitary of the SWAP sequence, built by permutation arithmetic
-    on basis indices (no gate matrices involved); capped like circuit_unitary."""
+    on basis indices (no gate matrices involved); capped like circuit_unitary.
+    Output wire w holds the bit that started on wire value_at()[w]."""
     n = path.n_wires
     check_unitary_cap(n)
+    inputs = np.arange(2**n)
+    index = np.zeros(2**n, dtype=np.intp)
+    for v in path.value_at():
+        index = (index << 1) | ((inputs >> (n - 1 - v)) & 1)
     u = np.zeros((2**n, 2**n), dtype=complex)
-    u[_permuted_indices(path), np.arange(2**n)] = 1.0
+    u[index, inputs] = 1.0
     return u
-
-
-def apply_reference_permutation(path: SwapPath, vec: np.ndarray) -> np.ndarray:
-    """Ideal output amplitudes of the SWAP sequence on a statevector."""
-    out = np.zeros_like(np.asarray(vec, dtype=complex))
-    out[_permuted_indices(path)] = vec
-    return out
 
 
 def verify_equivalence(
@@ -300,19 +288,20 @@ def verify_equivalence(
 ) -> float:
     """Max elementwise deviation between the compiled circuit's unitary and the
     reference permutation, over basis columns whose constraint wires are 0,
-    exactly, global phase included.  The kept columns span the free wires;
-    n x 2**len(free) is bounded by sim.check_basis_cap, and a gate outside
-    the SWAP-network set refused by sim.basis_steps, before they exist."""
+    exactly, global phase included.  The kept columns span the free wires,
+    each free wire taking the next counting row and each constraint wire the
+    row 0; n x 2**len(free) is bounded by sim.check_basis_cap, and a gate
+    outside the SWAP-network set refused by sim.basis_steps, before they exist."""
     if circuit.n_wires != path.n_wires:
         raise ValueError(f"circuit has {circuit.n_wires} wires, path {path.n_wires}")
     n = path.n_wires
     constraints = {integral(w, "constraint wire") for w in constraints}
     if any(not 0 <= w < n for w in constraints):
         raise ValueError(f"constraint wires {sorted(constraints)} not all in 0..{n - 1}")
-    free = [w for w in range(n) if w not in constraints]
-    check_basis_cap(n, 2 ** len(free))
+    free = n - len(constraints)
+    check_basis_cap(n, 2**free)
     steps = basis_steps(circuit)
-    inputs = np.zeros((n, 2 ** len(free)), dtype=np.uint8)
-    inputs[free] = basis_bits(np.arange(2 ** len(free)), len(free))
+    counting = iter(counting_rows(free))
+    rows = [0 if w in constraints else next(counting) for w in range(n)]
     # wire w ends up holding the value that started on wire value_at()[w]
-    return basis_deviation(steps, inputs, inputs[path.value_at()])
+    return basis_deviation(steps, rows, [rows[v] for v in path.value_at()], 2**free)

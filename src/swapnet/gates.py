@@ -1,4 +1,4 @@
-"""Gate vocabulary: exact unitaries, single-qubit Paulis, interaction evolutions.
+"""Gate vocabulary: exact unitaries of the fixed kinds and of fsim.
 
 Wire-order convention, fixed package-wide: the first operand of a gate is the
 most significant bit of its matrix index, so a two-qubit matrix acts on
@@ -60,15 +60,14 @@ class GateKind:
 
 ARITY: dict[str, int] = {
     "i": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdag": 1, "h": 1,
-    "cz": 2, "cnot": 2, "swap": 2, "iswap": 2, "iscz": 2,
-    "fsim": 2, "xyevol": 2, "zzevol": 2, "syc": 2,
+    "cz": 2, "cnot": 2, "swap": 2, "iswap": 2, "iscz": 2, "fsim": 2,
     "cswap": 3, "ciswap": 3, "ciscz": 3, "ccz": 3, "ccx": 3,
 }
 
 N_PARAMS: dict[str, int] = {name: 0 for name in ARITY}
-N_PARAMS.update({"fsim": 2, "xyevol": 1, "zzevol": 1})
+N_PARAMS["fsim"] = 2
 
-# Fixed-kind singletons.  Parametric kinds are built by the factories below.
+# Fixed-kind singletons.  The parametric fsim is built by its factory below.
 I = GateKind("i")
 X = GateKind("x")
 Y = GateKind("y")
@@ -81,7 +80,6 @@ CNOT = GateKind("cnot")
 SWAP = GateKind("swap")
 ISWAP = GateKind("iswap")
 ISCZ = GateKind("iscz")
-SYC = GateKind("syc")
 CSWAP = GateKind("cswap")
 CISWAP = GateKind("ciswap")
 CISCZ = GateKind("ciscz")
@@ -91,17 +89,6 @@ CCX = GateKind("ccx")  # Toffoli; the target is the last operand
 
 def fsim(theta: float, phi: float) -> GateKind:
     return GateKind("fsim", (theta, phi))
-
-
-def xyevol(gt: float) -> GateKind:
-    """XY-interaction evolution exp(-i*gt*(XX+YY)/2), with -i*sin(gt) middles;
-    gt = pi/2 gives iswap^dag, and gt = -pi/2 gives iswap."""
-    return GateKind("xyevol", (gt,))
-
-
-def zzevol(gt: float) -> GateKind:
-    """ZZ-interaction evolution exp(-i*gt*ZZ); gt = pi/4 gives cz up to 1q phases."""
-    return GateKind("zzevol", (gt,))
 
 
 # Residual phase powers: after an iscz network, wire counters mod 4 map to
@@ -154,8 +141,6 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
     """Exact unitary for a gate kind (copy; callers may mutate)."""
     if kind.name in _FIXED:
         return _FIXED[kind.name].copy()
-    if kind.name == "syc":
-        return gate_matrix(fsim(math.pi / 2, math.pi / 6))
     if kind.name == "fsim":
         theta, phi = kind.params
         c, s = math.cos(theta), math.sin(theta)
@@ -168,21 +153,4 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
             ],
             dtype=complex,
         )
-    if kind.name == "xyevol":
-        (gt,) = kind.params
-        c, s = math.cos(gt), math.sin(gt)
-        return np.array(
-            [
-                [1, 0, 0, 0],
-                [0, c, -1j * s, 0],
-                [0, -1j * s, c, 0],
-                [0, 0, 0, 1],
-            ],
-            dtype=complex,
-        )
-    if kind.name == "zzevol":
-        (gt,) = kind.params
-        return np.exp(-1j * gt) * np.diag(
-            [1, np.exp(2j * gt), np.exp(2j * gt), 1]
-        ).astype(complex)
     raise ValueError(f"no matrix for kind {kind!r}")

@@ -8,9 +8,10 @@ Three compilation modes per trial, all realizing the same routed permutation:
 
 Each trial draws a uniform permutation (Fisher-Yates), routes it on the line
 with odd-even transposition (round 0 compares even pairs (0,1), (2,3), ...),
-and runs a Haar-random single-qubit product input through the compiled
-circuit (fidelity against the ideal permutation of the input, which should
-be 1 up to roundoff).  The noisy fidelity, against the circuit's own
+and checks each compiled circuit against the routed permutation with
+`verify_equivalence`.  That check is exact, so the noiseless fidelity is
+exactly 1 on every input, and a circuit that fails it is a compiler bug,
+raised as a RuntimeError.  The noisy fidelity, against the circuit's own
 noiseless output with a two-qubit depolarizing channel of strength p after
 every two-qubit gate, is counted, not simulated.  Every mode compiles each
 swap to a Clifford block on its pair (SWAP times single-qubit Cliffords),
@@ -26,9 +27,9 @@ F does not depend on the input: on each wire of a pure product state the
 squared Pauli weights of X, Y and Z sum to 1/2, as does that of I, so the
 strings acting on exactly the values in A weigh 2**-n together.  The tests
 check `noisy_fidelity` against a density matrix run through every gate and
-channel (`noisy_density` in tests/oracles.py).  A trial's largest array is
-the noiseless statevector's n x 2**n basis map, so sizes stop at
-BENCH_WIRE_CAP.
+channel (`noisy_density` in tests/oracles.py).  A trial holds the 2**n
+subset counts and the exact check's n rows of 2**n bits, which
+sim.check_basis_cap bounds, so sizes stop at BENCH_WIRE_CAP.
 
 Per-trial randomness is seeded from (master seed, n, trial), so records do
 not depend on execution order and a parallel run reproduces a serial one.
@@ -45,18 +46,12 @@ from typing import Any, Iterable, TextIO
 import numpy as np
 
 from .circuit import Circuit, integral, metrics
-from .compiler import (
-    SwapPath,
-    apply_reference_permutation,
-    compile_cnot_baseline,
-    compile_iscz,
-    unfuse_iscz,
-)
-from .sim import PureState, apply_circuit, check_strength, random_factors
+from .compiler import SwapPath, compile_cnot_baseline, compile_iscz, unfuse_iscz, verify_equivalence
+from .sim import check_strength
 
 MODES = ("cnot", "iscz_fused", "iscz_unfused")
 NOISY_GATES = dict(zip(MODES, (3, 1, 2)))  # two-qubit gates per swap
-BENCH_WIRE_CAP = 19  # the largest n that sim.check_basis_cap(n, 2**n) accepts
+BENCH_WIRE_CAP = 19  # the largest n whose exact check sim.check_basis_cap(n, 2**n) accepts
 
 
 @dataclass(frozen=True)
@@ -170,14 +165,14 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, trial]))
     perm = random_permutation(n, rng)
     path = route_linear(perm)
-    state = PureState.product(random_factors(n, rng))
-    ideal = apply_reference_permutation(path, state.vec)
     count = _hit_counts(path)
     fused = compile_iscz(path).circuit
     out = []
     for mode, circuit in zip(MODES, (compile_cnot_baseline(path), fused, unfuse_iscz(fused))):
-        pure = apply_circuit(state, circuit)
-        fid_clean = float(abs(np.vdot(ideal, pure.vec)) ** 2)
+        dev = verify_equivalence(path, circuit)
+        if dev != 0.0:
+            raise RuntimeError(f"bench n={n} trial={trial} mode={mode}: the compiled circuit "
+                               f"deviates from its routed permutation by {dev}")
         fid_noisy = _priced(count, NOISY_GATES[mode], config.p)
         met = metrics(circuit)
         out.append(
@@ -190,7 +185,7 @@ def _run_trial(task: tuple[int, int, BenchConfig]) -> list[TrialRecord]:
                 two_qubit_gates=met.two_qubit_gates,
                 depth=met.depth,
                 two_qubit_depth=met.two_qubit_depth,
-                fidelity_noiseless=fid_clean,
+                fidelity_noiseless=1.0,
                 fidelity_noisy=fid_noisy,
                 p=config.p,
                 seed=config.seed,

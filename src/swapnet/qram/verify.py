@@ -11,19 +11,20 @@ Every gate the builder emits, the ccx Toffoli included, is a permutation with
 power-of-i phases.  So all inputs are pushed through the circuit at once
 (sim.basis_deviation), each wire's row packed into one int and the phase
 power mod 4 into two more, and the deviation is exact: 0, sqrt 2 or 2 for
-a right output with phase 1, +-i or -1, and 1 for a wrong one.  A circuit
-with any other gate, such as one read from a file, is refused with a
-ValueError before any input is built.  The one size bound is the engine's:
-checked_layout refuses a layout whose (wires x 2**(n+k)) bit matrix is over
-sim.BASIS_ENTRY_CAP entries, before anything is built.
+a right output with phase 1, +-i or -1, and 1 for a wrong one.  The input
+rows are the bus's counting rows, and the expected ones follow in closed
+form: a data wire's row flips on the 2**k columns of each address whose
+word has that bit set.  A circuit with any other gate, such as one read
+from a file, is refused with a ValueError before any input is built.  The
+one size bound is the engine's: checked_layout refuses a layout whose
+wires x 2**(n+k) row bits are over sim.BASIS_ENTRY_CAP, before anything is
+built.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..circuit import Circuit
-from ..sim import basis_bits, basis_deviation, basis_steps, check_basis_cap
+from ..sim import basis_deviation, basis_steps, check_basis_cap, counting_rows
 from .build import QramBuild, QramSpec, build_qram_circuit
 from .layout import TreeLayout
 
@@ -46,17 +47,17 @@ def verify_circuit_matches(spec: QramSpec, circuit: Circuit) -> float:
         )
     steps = basis_steps(circuit)
     n, k = spec.n, spec.k
-    words = np.arange(2 ** (n + k), dtype=np.int64)  # word (a << k) | z
-    memory = np.array(spec.memory, dtype=np.int64)
-    bits = np.zeros((lay.n_wires, words.size), dtype=np.uint8)
-    expected = np.zeros_like(bits)  # tree and scratch wires start and end at 0
-    bits[: n + k] = basis_bits(words, n + k)
-    expected[: n + k] = basis_bits(words ^ memory[words >> k], n + k)
-    return basis_deviation(steps, bits, expected)
+    # column (a << k) | z holds address a and data z; tree and scratch wires start and end at 0
+    rows = counting_rows(n + k) + [0] * (lay.n_wires - n - k)
+    block = (1 << 2**k) - 1  # the columns of one address
+    expected = list(rows)
+    for i in range(k):  # the blocks are disjoint, so their sum is their OR
+        expected[n + i] ^= sum(block << (a << k) for a in range(2**n) if spec.bit(a, i))
+    return basis_deviation(steps, rows, expected, 2 ** (n + k))
 
 
 def checked_layout(spec: QramSpec) -> TreeLayout:
-    """spec's layout, refused over the engine's bit-matrix bound before anything is built."""
+    """spec's layout, refused over the engine's row-bit bound before anything is built."""
     lay = TreeLayout(spec.n, spec.k)
     check_basis_cap(lay.n_wires, 2 ** (spec.n + spec.k))
     return lay

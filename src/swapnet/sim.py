@@ -7,48 +7,48 @@ A gate is monomial, or it is refused by name.  Monomial kinds are those whose
 matrix has one nonzero entry per row, each in {1, -1, i, -i}: every fixed
 kind except h (x, y, z, s, sdag, cz, cnot, swap, iswap, iscz, cswap, ciswap,
 ciscz, ccz, ccx, and the identity), so every gate a SWAP-network compiler or
-the QRAM builder emits.  Any other gate (h, fsim, xyevol, zzevol, syc) is
-refused by every entry point with one ValueError, "not a SWAP-network
-circuit: gate ... is not monomial", which `_table` alone raises.
+the QRAM builder emits.  Any other gate (h or fsim) is refused by every
+entry point with one ValueError, "not a SWAP-network circuit: gate ... is
+not monomial", which `_table` alone raises.
 
 A monomial gate sends a basis state to one basis state times a power of i,
-so one kernel, `propagate_basis`, runs every circuit: it pushes a batch of
-basis inputs through a circuit bit-sliced (as in arXiv:quant-ph/0406196):
-each wire's row over the C inputs is one Python int, bit c for input c, and
-the phase power mod 4 two more, a low and a high bit plane.  Each kind's
+so one kernel, `_run`, runs every circuit: it pushes a batch of basis
+inputs through a circuit bit-sliced (as in arXiv:quant-ph/0406196): each
+wire's row over the C inputs is one Python int, bit c for input c, and the
+phase power mod 4 two more, a low and a high bit plane.  Each kind's
 `_monomial` table is compiled once, on first use, into a `_program`: a
 GF(2) polynomial over the operand bits per moved bit and a Z4 one for the
 phase, so a gate is a few AND and XOR operations over C/64 machine words.
 `basis_steps` pairs each gate with its program, so every entry point
-refuses a gate outside the set before it builds anything.
+refuses a gate outside the set before it builds anything.  Packed rows are
+the one input form: `counting_rows(m)` gives those of the basis indices
+0..2**m - 1 in closed form, each a repeated byte pattern.
 
-Amplitudes move along `basis_map(steps, n)`, the propagated image of all
-2**n basis states packed back to indices by `basis_index`: a statevector
-becomes vec'[index] = vec * i**power, a density matrix takes the same map on
-its rows and the conjugate powers on its columns, and `circuit_unitary` is
-U[index, j] = i**power[j].  The phase multiplies are exact.
-`apply_circuit` runs a whole circuit as one map and has no noise.
+Amplitudes move along `basis_map(steps, n)`, the counting rows' images
+unpacked once to an output index and a phase power per input: a
+statevector becomes vec'[index] = vec * i**power, a density matrix takes
+the same map on its rows and the conjugate powers on its columns, and
+`circuit_unitary` is U[index, j] = i**power[j].  The phase multiplies are
+exact.  `apply_circuit` runs a whole circuit as one map and has no noise.
 `depolarize_pair` works in place on a density matrix's [2]*2n view.
 
 Density matrices cost 4^n; construction is capped at a fixed n <= 10
 (DENSITY_WIRE_CAP), checked before the matrix is formed, so a typo cannot
-silently allocate gigabytes.  A basis map holds an n x 2**n bit matrix, so
-`check_basis_cap` bounds statevectors at 19 wires before it exists.
-States copy the array they are built from, so the kernels never write into
-an array the caller still holds.  No command runs a density matrix:
+silently allocate gigabytes.  A basis map unpacks to an n x 2**n bit
+matrix, so `check_basis_cap` bounds statevectors at 19 wires before it
+exists.  States copy the array they are built from, so the kernels never
+write into an array the caller still holds.  No command runs a state:
 `netbench.noisy_fidelity` prices the benchmark's noise by counting value
-subsets.
-MixedState, depolarize_pair and the mixed branch of `fidelity` are on no
-command path: the tests build their dense noise reference from them, and
-the benchmark harness times them by name.
+subsets, and its noiseless column is an exact check.  The state classes,
+depolarize_pair and `fidelity` are the tests' dense references, and the
+benchmark harness times them by name.
 
-Verification needs no amplitudes at all.  `basis_deviation` turns the
-propagated inputs into the dense max |U - P| exactly, packed throughout: 0,
-sqrt 2 or 2 for a column that lands on its expected index with phase 1,
-+-i or -1, and 1 for one that lands elsewhere.  Its one size bound,
-`check_basis_cap`, refuses a uint8 bit matrix over BASIS_ENTRY_CAP entries
-before the inputs exist; callers still build their inputs in that form.
-`fidelity` compares a pure state with a pure or a mixed one.
+Verification needs no amplitudes at all.  `basis_deviation` runs packed
+input rows and compares them with packed expected rows, giving the dense
+max |U - P| exactly: 0, sqrt 2 or 2 for a column that lands on its
+expected index with phase 1, +-i or -1, and 1 for one that lands
+elsewhere.  Its one size bound, `check_basis_cap`, refuses wires x inputs
+over BASIS_ENTRY_CAP bits before the rows exist.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from .gates import GateKind, gate_matrix
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
-# 16 MiB per uint8 bit matrix as the verifiers build it (2 MiB packed); QRAM
-# (2, 17) at 12.5 MiB peaks at 60.5 MiB, nearly all of it the uint8 inputs
+# bits over all packed rows (2 MiB); basis_map unpacks its n x 2**n as uint8
 BASIS_ENTRY_CAP = 1 << 24
 
 
@@ -84,13 +83,6 @@ class PureState:
         vec = np.zeros(2**n, dtype=complex)
         vec[index] = 1.0
         return PureState(n, vec)
-
-    @staticmethod
-    def product(factors: list[np.ndarray]) -> "PureState":
-        vec = np.array([1.0], dtype=complex)
-        for f in factors:
-            vec = np.kron(vec, np.asarray(f, dtype=complex))
-        return PureState(len(factors), vec)
 
     def copy(self) -> "PureState":
         return PureState(self.n, self.vec)
@@ -298,36 +290,32 @@ _DEVIATION_BY_POWER = np.abs(_POWERS - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
 
 
 def basis_steps(circuit: Circuit) -> list[tuple[tuple[int, ...], tuple]]:
-    """Each gate's (wires, _program), the form propagate_basis runs; refuses
+    """Each gate's (wires, _program), the form _run runs; refuses
     the first gate outside the monomial set."""
     return [(g.wires, _table(g, i)) for i, g in enumerate(circuit.gates)]
 
 
 def check_basis_cap(wires: int, inputs: int) -> None:
-    """Refuse a bit matrix of wires x inputs (a power of two) over BASIS_ENTRY_CAP entries."""
+    """Refuse rows of wires x inputs (a power of two) bits over BASIS_ENTRY_CAP."""
     if wires * inputs > BASIS_ENTRY_CAP:
         size = f"{wires} wires x 2**{inputs.bit_length() - 1} basis inputs"
         raise ValueError(f"refusing exact check: {size} is over 2**24 bit-matrix entries")
 
 
-def basis_bits(indices: np.ndarray, n: int) -> np.ndarray:
-    """The (n x len(indices)) uint8 bit matrix of basis indices over n <= 32
-    wires; row w holds wire w, the most significant bit first.  The indices
-    are unpacked as big-endian 32-bit words, so no wider temporary exists."""
-    if n > 32:
-        raise ValueError(f"basis_bits takes at most 32 wires, got {n}")
-    words = np.asarray(indices).astype(">u4").view(np.uint8).reshape(-1, 4)
-    return np.ascontiguousarray(np.unpackbits(words, axis=1)[:, 32 - n :].T)
+_LOW_BITS = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}  # one byte of the three lowest wires' rows
 
 
-def basis_index(bits: np.ndarray) -> np.ndarray:
-    """The basis index of each column of a (wires x inputs) bit matrix, the
-    inverse of basis_bits; row 0 is the most significant bit."""
-    index = np.zeros(bits.shape[1], dtype=np.intp)
-    for row in bits:
-        index <<= 1
-        index |= row
-    return index
+def counting_rows(m: int) -> list[int]:
+    """The packed rows of the basis indices 0..2**m - 1, wire 0 the most
+    significant: row j repeats 2**(m-1-j) zeros and then as many ones."""
+    size, ones = max(2**m // 8, 1), (1 << 2**m) - 1
+    rows = []
+    for j in range(m):
+        half = 2 ** (m - 1 - j)
+        unit = _LOW_BITS.get(half) or bytes(half // 8) + b"\xff" * (half // 8)
+        # & ones trims the one byte to 2**m bits below m = 3
+        rows.append(int.from_bytes(unit * (size // len(unit)), "little") & ones)
+    return rows
 
 
 def basis_map(steps: list, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,13 +323,16 @@ def basis_map(steps: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     states: its output index and phase power mod 4, input index order.  The
     n x 2**n bit matrix is bounded by check_basis_cap before it exists."""
     check_basis_cap(n, 2**n)
-    bits, power = propagate_basis(steps, basis_bits(np.arange(2**n), n))
-    return basis_index(bits), power
-
-
-def _pack(bits: np.ndarray) -> list[int]:
-    """Each row of a (wires x columns) bit matrix as one int, bit c for column c."""
-    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+    rows = counting_rows(n)
+    rows += _run(steps, rows, (1 << 2**n) - 1)  # the output rows, then the phase planes
+    size = (2**n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(rows), size), axis=1, count=2**n, bitorder="little")
+    index = np.zeros(2**n, dtype=np.intp)
+    for row in bits[:-2]:
+        index <<= 1
+        index |= row
+    return index, bits[-2] | (bits[-1] << 1)
 
 
 def _run(steps: list, rows: list[int], ones: int) -> tuple[int, int]:
@@ -368,48 +359,21 @@ def _run(steps: list, rows: list[int], ones: int) -> tuple[int, int]:
     return lo, hi
 
 
-def propagate_basis(steps: list, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Push basis inputs through a circuit's basis_steps exactly, without any
-    amplitudes.
-
-    bits is a (wires x inputs) uint8 matrix: column c holds the bits of input
-    c.  Returns the output bit matrix and, per input, the power k mod 4 of
-    the phase i**k the circuit multiplies in.  The rows run packed.
-    """
-    columns = bits.shape[1]
-    rows = _pack(bits)
-    rows += _run(steps, rows, (1 << columns) - 1)  # the output rows, then the phase planes
-    size = (columns + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), dtype=np.uint8)
-    out = np.unpackbits(packed.reshape(len(rows), size), axis=1, count=columns, bitorder="little")
-    return out[:-2], out[-2] | (out[-1] << 1)
-
-
-def basis_deviation(steps: list, inputs: np.ndarray, expected: np.ndarray) -> float:
+def basis_deviation(steps: list, rows: list[int], expected: list[int], columns: int) -> float:
     """Max |U - P| over the columns of the circuit's U (given as its
-    basis_steps) named by the (wires x columns) bit matrix inputs, P sending
-    each to its column of expected with phase 1: |i**k - 1| (0, sqrt 2 or 2)
-    for a column that lands on its expected index, 1 for one that lands
-    elsewhere.  Runs packed throughout."""
-    ones = (1 << inputs.shape[1]) - 1
-    rows = _pack(inputs)
+    basis_steps) whose inputs are the packed rows, P sending each to its
+    column of the packed expected rows with phase 1: |i**k - 1| (0, sqrt 2
+    or 2) for a column that lands on its expected index, 1 for one that
+    lands elsewhere.  The caller's list of rows is left alone."""
+    ones = (1 << columns) - 1
+    rows = list(rows)
     lo, hi = _run(steps, rows, ones)
     miss = 0
-    for row, want in zip(rows, _pack(expected)):
+    for row, want in zip(rows, expected, strict=True):
         miss |= row ^ want
     hit = ones ^ miss
     power = 2 if hi & ~lo & hit else 1 if lo & hit else 0
     return max(1.0 if miss else 0.0, float(_DEVIATION_BY_POWER[power]))
-
-
-def random_factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Haar-random single-qubit states, wire 0 first: two complex normals per
-    qubit, normalized."""
-    factors = []
-    for _ in range(n):
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        factors.append(a / np.linalg.norm(a))
-    return factors
 
 
 def fidelity(a: PureState | MixedState, b: PureState | MixedState) -> float:

@@ -2,10 +2,16 @@
 library computes another, faster way.
 
 The amplitude oracles build every amplitude from `gate_matrix`, never from
-the gate programs `propagate_basis` runs, so a test that compares the
-engine with them compares two computations, not one engine with itself.
-So does `dense_propagate`, which gathers basis inputs as uint8 rows through
-each gate's matrix: the dense reference for the packed engine.
+the gate programs the engine runs, so a test that compares the engine with
+them compares two computations, not one engine with itself.  So does
+`dense_propagate`, which gathers basis inputs as uint8 rows through each
+gate's matrix: the dense reference for the packed engine.  The uint8 form
+lives here alone: `basis_bits` unpacks basis indices into it, `pack` packs
+it into the engine's rows (the reference for `sim.counting_rows`), and
+`propagate_basis` runs the engine on it and unpacks the result.  On that
+form `bit_matrix_path_deviation` and `bit_matrix_qram_deviation` recompute
+the verifiers' values from uint8 input and expected matrices built by index
+arithmetic, as the verifiers once did, compared column by column in numpy.
 `layers` and `metrics_by_arity` (the generic loop `metrics` unrolls) are the
 oracles for `metrics`, `legal_cz_slots` for `compile_ext2`'s
 one-sweep slot search, and `noisy_density` (a density matrix through every
@@ -14,8 +20,9 @@ instead of simulating; `extended`, `ring` and `complete` build test inputs.
 
 The rest left `src/` because only tests read them: `PAULI_1Q` and
 `pauli_expansion` (with its `PauliExpansion`) check gate matrices against
-their Pauli sums, `random_product_state` replays the benchmark's input
-draws, and `coupling_to_dict` and `qram_spec_to_dict` write the documents
+their Pauli sums, `random_factors`, `product_state` and
+`random_product_state` build the Haar-random product inputs the noise
+oracles take, and `coupling_to_dict` and `qram_spec_to_dict` write the documents
 that the library's readers parse.
 """
 
@@ -27,7 +34,7 @@ import numpy as np
 from swapnet.circuit import Circuit, CouplingMap, Metrics
 from swapnet.compiler import SwapPath
 from swapnet.gates import gate_matrix
-from swapnet.sim import PureState, depolarize_pair, random_factors
+from swapnet.sim import PureState, _run, basis_steps, depolarize_pair
 
 PAULI_1Q = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -137,12 +144,71 @@ def dense_unitary(circuit):
     return u
 
 
+def basis_bits(indices, n):
+    """The (n x len(indices)) uint8 bit matrix of basis indices over n <= 32
+    wires; row w holds wire w, the most significant bit first.  The indices
+    are unpacked as big-endian 32-bit words, so no wider temporary exists."""
+    if n > 32:
+        raise ValueError(f"basis_bits takes at most 32 wires, got {n}")
+    words = np.asarray(indices).astype(">u4").view(np.uint8).reshape(-1, 4)
+    return np.ascontiguousarray(np.unpackbits(words, axis=1)[:, 32 - n :].T)
+
+
+def pack(bits):
+    """Each row of a (wires x columns) bit matrix as one int, bit c for column c."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+def propagate_basis(steps, bits):
+    """sim's engine on a (wires x inputs) uint8 matrix, column c the bits of
+    input c: the output bit matrix and, per input, the power k mod 4 of the
+    phase i**k the circuit multiplies in."""
+    columns = bits.shape[1]
+    rows = pack(bits)
+    rows += _run(steps, rows, (1 << columns) - 1)  # the output rows, then the phase planes
+    size = (columns + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), dtype=np.uint8)
+    out = np.unpackbits(packed.reshape(len(rows), size), axis=1, count=columns, bitorder="little")
+    return out[:-2], out[-2] | (out[-1] << 1)
+
+
+def bit_matrix_deviation(circuit, inputs, expected):
+    """max |U - P| over the columns of the uint8 inputs: 1 when a column
+    misses its expected one, else |i**k - 1| for its phase power k."""
+    bits, phase = propagate_basis(basis_steps(circuit), inputs)
+    hit = np.all(bits == expected, axis=0)
+    return max([0.0 if hit.all() else 1.0] + [abs(1j ** int(k) - 1) for k in np.unique(phase[hit])])
+
+
+def bit_matrix_path_deviation(path, circuit, constraints):
+    """verify_equivalence's value: the free wires count through their basis
+    indices, the constraint wires stay 0, and wire w should end up holding
+    the row that started on wire value_at()[w]."""
+    n = path.n_wires
+    free = [w for w in range(n) if w not in constraints]
+    inputs = np.zeros((n, 2 ** len(free)), dtype=np.uint8)
+    inputs[free] = basis_bits(np.arange(2 ** len(free)), len(free))
+    return bit_matrix_deviation(circuit, inputs, inputs[path.value_at()])
+
+
+def bit_matrix_qram_deviation(spec, circuit):
+    """verify_circuit_matches's value: bus word (a << k) | z should become
+    (a << k) | (z ^ memory[a]), every other wire start and end at 0."""
+    n, k = spec.n, spec.k
+    words = np.arange(2 ** (n + k), dtype=np.int64)
+    inputs = np.zeros((circuit.n_wires, words.size), dtype=np.uint8)
+    expected = np.zeros_like(inputs)
+    inputs[: n + k] = basis_bits(words, n + k)
+    expected[: n + k] = basis_bits(words ^ np.array(spec.memory, dtype=np.int64)[words >> k], n + k)
+    return bit_matrix_deviation(circuit, inputs, expected)
+
+
 def dense_propagate(circuit, bits):
     """The (wires x inputs) uint8 basis inputs pushed through the circuit gate
     by gate with numpy gathers over whole rows: each gate's operand bits form
     an index into the destination and phase power of its gate_matrix column.
     Returns the output bits and the phase power mod 4 per input, the form
-    sim.propagate_basis gives from packed rows."""
+    propagate_basis gives from packed rows."""
     bits = np.array(bits, dtype=np.uint8)
     phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
     for g in circuit.gates:
@@ -217,9 +283,27 @@ def pauli_expansion(kind):
     return PauliExpansion(coeffs)
 
 
+def random_factors(n, rng):
+    """Haar-random single-qubit states, wire 0 first: two complex normals per
+    qubit, normalized."""
+    factors = []
+    for _ in range(n):
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        factors.append(a / np.linalg.norm(a))
+    return factors
+
+
+def product_state(factors):
+    """The pure state of the single-qubit factors, wire 0 first (most significant)."""
+    vec = np.array([1.0], dtype=complex)
+    for f in factors:
+        vec = np.kron(vec, np.asarray(f, dtype=complex))
+    return PureState(len(factors), vec)
+
+
 def random_product_state(n, rng):
     """Haar-random single-qubit product state, the product of random_factors."""
-    return PureState.product(random_factors(n, rng))
+    return product_state(random_factors(n, rng))
 
 
 def coupling_to_dict(coupling):

@@ -95,7 +95,7 @@ def test_non_integral_values_are_refused_by_name(case):
 
 
 def test_integral_values_become_ints():
-    g = Gate(gates.zzevol(0.987654321), (1.0, np.int64(2)))  # no other test builds this gate
+    g = Gate(gates.fsim(0.987654321, 0.5), (1.0, np.int64(2)))  # no other test builds this gate
     assert g.wires == (1, 2) and all(type(w) is int for w in g.wires)
     assert Gate(gates.X, (True,)) is Gate(gates.X, (1,))
     c = Circuit(2.0, (), {1.0})
@@ -148,7 +148,7 @@ def test_pickle_and_copy_return_the_live_gate():
 
 
 def test_the_table_keeps_every_gate_it_built():
-    kind = gates.zzevol(0.123456789)  # no other test builds this gate
+    kind = gates.fsim(0.123456789, 0.5)  # no other test builds this gate
     size = len(circuit_module._GATES)
     g = Gate(kind, (11, 12))
     ref = weakref.ref(g)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import re
@@ -182,6 +183,13 @@ def test_bench_csv_deterministic(capsys, tmp_path):
     assert header.startswith("n,trial,mode")
     assert len(out1.splitlines()) == 1 + 3 * 3  # header + trials x modes
     assert "mode" in err1  # summary table on stderr
+
+
+def test_bench_noiseless_fidelity_is_exactly_one_at_every_size(capsys):
+    rc, out, _ = run(capsys, "bench", "--sizes", "2..19", "--trials", "1")
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 18 * 3 and {r["fidelity_noiseless"] for r in rows} == {"1.0"}
 
 
 def test_bench_writes_negative_zero_strength_as_zero(capsys):
@@ -398,8 +406,10 @@ def test_matrix_json_is_exact(capsys):
 
 
 def test_matrix_unknown_gate_is_exit_two(capsys):
-    rc, _, err = run(capsys, "matrix", "--gate", "nosuch")
-    assert rc == 2
+    # syc, xyevol and zzevol were kinds once; no compiler emitted them
+    for name in ("nosuch", "syc", "xyevol", "zzevol"):
+        rc, _, err = run(capsys, "matrix", "--gate", name)
+        assert rc == 2 and err.startswith(f"error: unknown gate {name!r}; choose from ")
     rc, _, err = run(capsys, "matrix", "--gate", "fsim", "--params", "1.0")
     assert rc == 2
 
@@ -429,16 +439,13 @@ def test_verify_over_the_bit_matrix_bound_is_usage_error(capsys, tmp_path):
     "extra, named",
     [
         ([{"kind": "fsim", "wires": [0, 1], "params": [0.3, 0.2]}], "gate 5 (fsim(0.3, 0.2) 0 1)"),
-        ([{"kind": "xyevol", "wires": [1, 2], "params": [0.7]}], "gate 5 (xyevol(0.7) 1 2)"),
-        ([{"kind": "zzevol", "wires": [2, 0], "params": [0.4]}], "gate 5 (zzevol(0.4) 2 0)"),
-        ([{"kind": "syc", "wires": [0, 2]}], "gate 5 (syc 0 2)"),
         ([{"kind": "h", "wires": [1]}], "gate 5 (h 1)"),
         ([{"kind": "h", "wires": [0]}, {"kind": "cz", "wires": [1, 2]},
           {"kind": "h", "wires": [0]}], "gate 5 (h 0)"),
         ([{"kind": "h", "wires": [2]}, {"kind": "ccz", "wires": [0, 1, 2]},
           {"kind": "h", "wires": [2]}], "gate 5 (h 2)"),
     ],
-    ids=["fsim", "xyevol", "zzevol", "syc", "lone-h", "h-pair-off-wire", "h-ccz-h"],
+    ids=["fsim", "lone-h", "h-pair-off-wire", "h-ccz-h"],
 )
 def test_verify_refuses_a_circuit_outside_the_engine(capsys, tmp_path, path_file, extra, named):
     # the compiled circuit of the 3-wire path (two iSCZs, three phase gates),

@@ -17,11 +17,9 @@ from swapnet.gates import (
     controlled,
     fsim,
     gate_matrix,
-    xyevol,
-    zzevol,
 )
 
-from oracles import PAULI_1Q, pauli_expansion
+from oracles import pauli_expansion
 
 TOL = 1e-12
 
@@ -40,13 +38,11 @@ def assert_close(a, b, tol=TOL):
 
 ALL_FIXED = [
     gates.I, gates.X, gates.Y, gates.Z, gates.S, gates.SDAG, gates.H,
-    gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ, gates.SYC,
+    gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ,
     gates.CSWAP, gates.CISWAP, gates.CISCZ, gates.CCZ, gates.CCX,
 ]
 PARAMETRIC_SAMPLES = [
     fsim(0.0, 0.0), fsim(math.pi / 2, math.pi), fsim(0.3, 1.1),
-    xyevol(0.0), xyevol(math.pi / 2), xyevol(0.7),
-    zzevol(0.0), zzevol(math.pi / 4), zzevol(1.2),
 ]
 
 
@@ -139,51 +135,6 @@ def test_fsim_half_pi_pi_is_elementwise_conjugate_of_iscz():
     assert_close(mat(fsim(math.pi / 2, math.pi)), mat(gates.ISCZ).conj())
 
 
-def test_syc_is_fsim_at_its_fixed_angles():
-    assert_close(mat(gates.SYC), mat(fsim(math.pi / 2, math.pi / 6)))
-
-
-def test_xy_evolution_zero_is_identity():
-    assert_close(mat(xyevol(0.0)), np.eye(4))
-
-
-def test_xy_evolution_half_pi_middles_are_minus_i():
-    u = mat(xyevol(math.pi / 2))
-    assert abs(u[1, 2] + 1j) <= TOL
-    assert abs(u[2, 1] + 1j) <= TOL
-    assert abs(u[1, 1]) <= TOL and abs(u[2, 2]) <= TOL
-
-
-def test_evolution_helpers_match_gate_matrix():
-    # xyevol(gt) and zzevol(gt) are exp(-i*gt*H) for their documented H
-    p = PAULI_1Q
-    for kind, h, gt in (
-        (xyevol, (np.kron(p["X"], p["X"]) + np.kron(p["Y"], p["Y"])) / 2, 0.7),
-        (zzevol, np.kron(p["Z"], p["Z"]), 1.2),
-    ):
-        evals, vecs = np.linalg.eigh(h)
-        assert_close(mat(kind(gt)), (vecs * np.exp(-1j * gt * evals)) @ vecs.conj().T)
-
-
-def test_zz_evolution_quarter_pi_is_cz_up_to_single_qubit_phases():
-    # solve diag(d) @ zz = cz; the diagonal must exist and factor as a
-    # tensor product of single-qubit phase gates (d00*d11 == d01*d10)
-    zz = mat(zzevol(math.pi / 4))
-    cz = mat(gates.CZ)
-    d = cz @ np.linalg.inv(zz)
-    assert_close(d, np.diag(np.diag(d)))
-    dd = np.diag(d)
-    assert abs(dd[1] - dd[2]) <= TOL
-    assert abs(dd[0] * dd[3] - dd[1] * dd[2]) <= TOL
-
-
-def test_zz_evolution_diagonal_entries():
-    gt = 0.9
-    u = mat(zzevol(gt))
-    expect = np.exp(-1j * gt) * np.diag([1, np.exp(2j * gt), np.exp(2j * gt), 1])
-    assert_close(u, expect)
-
-
 def test_controlled_builds_block_unitary():
     u = mat(gates.SWAP)
     cu = controlled(u)
@@ -208,7 +159,7 @@ def test_gate_kind_validation():
     with pytest.raises(ValueError):
         GateKind("swap", (0.5,))  # takes none
     with pytest.raises(ValueError):
-        GateKind("xyevol", (float("nan"),))
+        GateKind("fsim", (float("nan"), 0.0))
     # a list of integers is stored as a tuple of floats, so its gates hash
     kind = GateKind("fsim", [1, 0])
     assert kind.params == (1.0, 0.0) and kind == gates.fsim(1.0, 0.0)
@@ -240,8 +191,7 @@ def test_pauli_expansion_known_coefficients(name):
 
 @pytest.mark.parametrize(
     "kind",
-    [gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ, gates.SYC,
-     fsim(0.4, 2.0), xyevol(1.3), zzevol(0.6)],
+    [gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ, fsim(0.4, 2.0)],
     ids=str,
 )
 def test_pauli_expansion_reconstructs_matrix(kind):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swapnet import gates, netbench
-from swapnet.circuit import metrics
+from swapnet.circuit import Circuit, metrics
 from swapnet.compiler import SwapPath
 from swapnet.sim import PureState, apply_circuit, check_basis_cap, depolarize_pair, fidelity
 from swapnet.netbench import (
@@ -146,6 +146,14 @@ def test_noiseless_fidelity_is_one_noisy_below():
         assert r.fidelity_noisy <= 1.0
 
 
+def test_a_circuit_off_its_path_is_a_named_runtime_error(monkeypatch):
+    # only a compiler bug can fail the exact check, so it is no input error
+    unfuse = netbench.unfuse_iscz
+    monkeypatch.setattr(netbench, "unfuse_iscz", lambda c: Circuit(c.n_wires, unfuse(c).gates[1:]))
+    with pytest.raises(RuntimeError, match=r"^bench n=4 trial=0 mode=iscz_unfused: .* by 1\.0$"):
+        run_benchmark(BenchConfig(sizes=(4,), trials=1, seed=0))  # 4 swaps
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -218,32 +226,42 @@ def _pinned_csv() -> str:
     return buf.getvalue()
 
 
+def _pinned_csv_without(column: str) -> str:
+    rows = list(csv.reader(io.StringIO(_pinned_csv())))
+    drop = rows[0].index(column)
+    return "".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows)
+
+
 def test_csv_bytes_for_a_fixed_seed_are_pinned():
-    # sha256 of the CSV written once fidelity_noisy came from counting value
-    # subsets rather than Pauli weights, which moved it by at most 8.9e-16;
-    # any change to the records or their formatting changes it
+    # sha256 of the CSV written once fidelity_noiseless came from the exact
+    # check, 1.0 where the statevector had read 1 to within 2.7e-15; any
+    # change to the records or their formatting changes it
     digest = hashlib.sha256(_pinned_csv().encode()).hexdigest()
-    assert digest == "5f3576020eeea6e409656d5969da28ae8c0c203ecbb621734f5b5850c71f784d"
+    assert digest == "b45453d00818e3941e978e53e7484816b0d0b6c431daf8440810cd9b43436b27"
 
 
 def test_csv_bytes_without_fidelity_noisy_are_pinned():
-    # every column but the noise engine's own output, pinned since the
-    # simulator's kernels were rewritten: the noise engine must leave the
-    # permutation, the pure state and the compiled circuits as they were
-    rows = list(csv.reader(io.StringIO(_pinned_csv())))
-    drop = rows[0].index("fidelity_noisy")
-    text = "".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "13f698aac5120af46480c3e285451fd405300dce0efd20839ab6b8c9ada4cf37"
+    # every column but the noise engine's own output, pinned again when
+    # fidelity_noiseless became exactly 1.0: the noise engine must leave the
+    # permutation and the compiled circuits as they were
+    digest = hashlib.sha256(_pinned_csv_without("fidelity_noisy").encode()).hexdigest()
+    assert digest == "d4683c887297b5975ccd067cacc49551d1ed5a073de4acd4df33ff5a1f6a130f"
+
+
+def test_csv_bytes_without_fidelity_noiseless_are_pinned():
+    # every column but the noiseless one, pinned while a statevector still
+    # computed it: proving that column exactly moved no other byte
+    digest = hashlib.sha256(_pinned_csv_without("fidelity_noiseless").encode()).hexdigest()
+    assert digest == "1f4d489402c4a4e9b264dd11d2ed62d6aca6b57c3f400d4a20c0b28fe6516ce7"
 
 
 def test_csv_bytes_at_the_widest_sizes_are_pinned():
     # the largest sizes the bench took when it priced noise with 4**n
-    # Pauli weights; counting moved fidelity_noisy by at most 2.2e-16
+    # Pauli weights, pinned again when fidelity_noiseless became exactly 1.0
     buf = io.StringIO()
     write_csv(run_benchmark(BenchConfig(sizes=(9, 10), trials=1, seed=0)), buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == "33031730e322ad524553eec71dbd25196c9de14246581fcef797b296aa2234fe"
+    assert digest == "b7884d851f68446cac04b937e02cb4f802e81974fab35ad805af5b664a0c0411"
 
 
 def _density_fidelity(circuit, state, p):
@@ -347,9 +365,9 @@ WRONG_TYPED = {
         lambda: gates.GateKind("fsim", ("a", "b")), "gate 'fsim' needs finite numbers as params, got 'a'"),
     "params-bool": (
         lambda: gates.GateKind("fsim", (True, 2)), "gate 'fsim' needs finite numbers as params, got True"),
-    "params-huge-int": (lambda: gates.GateKind("xyevol", (10**400,)), "gate 'xyevol' needs finite numbers"),
+    "params-huge-int": (lambda: gates.GateKind("fsim", (0.5, 10**400)), "gate 'fsim' needs finite numbers"),
     "params-bare-number": (
-        lambda: gates.GateKind("xyevol", 0.5), "gate 'xyevol' params must be a tuple or list, got 0.5"),
+        lambda: gates.GateKind("fsim", 0.5), "gate 'fsim' params must be a tuple or list, got 0.5"),
 }
 
 

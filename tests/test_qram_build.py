@@ -4,9 +4,11 @@ Verification is exhaustive over all basis inputs (a, z); the expected action
 |a>|z> -> |a>|z xor memory[a]> with ancillae returned to |0> and zero
 residual phase is checked exactly by the phase-permutation engine, and the
 dense statevector per input is its oracle at small sizes.  Every Toffoli is
-one ccx gate, so no build holds an h.  The engine's one size bound is 2**24
-bit-matrix entries (wires x 2**(n+k)), so trees far past 20 wires verify, and
-a circuit with a gate outside its set is refused.
+one ccx gate, so no build holds an h.  The verifier's packed rows give the
+verdict that uint8 bit matrices built by index arithmetic give
+(tests/oracles.py).  The engine's one size bound is 2**24 row bits (wires x
+2**(n+k)), so trees far past 20 wires verify, and a circuit with a gate
+outside its set is refused.
 """
 
 import tracemalloc
@@ -26,7 +28,7 @@ from swapnet.qram.layout import TreeLayout
 from swapnet.sim import PureState
 from swapnet.qram.verify import verify_circuit_matches, verify_qram
 
-from oracles import extended, qram_spec_to_dict, tensordot_statevector
+from oracles import bit_matrix_qram_deviation, extended, qram_spec_to_dict, tensordot_statevector
 
 TOL = 1e-9
 SMALL_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -265,6 +267,23 @@ def test_exact_engine_matches_dense_statevectors(n, k, extensions, pipeline):
         assert abs(verify_circuit_matches(spec, circuit) - dense_deviation(spec, circuit)) <= 1e-12
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("extensions,pipeline", FLAGS)
+def test_packed_rows_give_the_bit_matrix_verdict(n, k, extensions, pipeline):
+    # expected rows in closed form against uint8 matrices built by index
+    # arithmetic: right builds, a flipped memory bit, and phase errors
+    (memory,) = memories(n, k, 1, seed=13 * n + k)
+    spec = QramSpec(n, k, memory, extensions=extensions, pipeline=pipeline)
+    right = build_qram_circuit(spec).circuit
+    for circuit in (
+        right,
+        build_qram_circuit(flip_one_bit(spec, seed=n)).circuit,
+        extended(right, [Gate(gates.S, (n,))]),
+        extended(right, [Gate(gates.Z, (0,))]),
+    ):
+        assert verify_circuit_matches(spec, circuit) == bit_matrix_qram_deviation(spec, circuit)
+
+
 def test_non_monomial_circuits_are_refused():
     spec = QramSpec(2, 1, (1, 0, 0, 1), extensions=True)
     circuit = build_qram_circuit(spec).circuit
@@ -293,6 +312,19 @@ def test_exhaustive_verification_at_the_cap(n, k, flag):
     build = build_qram_circuit(spec)
     assert verify_qram(spec, build) == 0.0
     assert verify_qram(flip_one_bit(spec, seed=k), build) == 1.0
+
+
+def test_two_to_the_nineteen_inputs_verify_in_little_memory():
+    # (2, 17): 23 wires x 2**19 inputs; uint8 bit matrices peaked at 60.5 MiB
+    (memory,) = memories(2, 17, 1, seed=217)
+    spec = QramSpec(2, 17, memory, extensions=True, pipeline=True)
+    tracemalloc.start()
+    try:
+        assert verify_qram(spec) == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

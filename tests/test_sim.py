@@ -5,9 +5,8 @@ Independent oracles from tests/oracles.py, both built from gate_matrix:
 dense matrix arithmetic (kron products applied to full vectors) recomputes
 what the basis maps produce, and a gate-by-gate tensordot contraction, with
 the einsum depolarizing formula, pins them bit for bit, one gate or a whole
-noisy circuit at a time.  A gate outside the monomial set (h, fsim, xyevol,
-zzevol, syc) is refused by every entry point with the verifier's one
-message.
+noisy circuit at a time.  A gate outside the monomial set (h or fsim) is
+refused by every entry point with the verifier's one message.
 """
 
 import re
@@ -27,21 +26,24 @@ from swapnet.sim import (
     PureState,
     _monomial,
     apply_circuit,
-    basis_bits,
     basis_deviation,
     basis_steps,
     check_basis_cap,
     circuit_unitary,
+    counting_rows,
     depolarize_pair,
     fidelity,
-    propagate_basis,
 )
 
 from oracles import (
+    basis_bits,
     dense_propagate,
     dense_unitary,
     extended,
     noisy_density,
+    pack,
+    product_state,
+    propagate_basis,
     random_product_state,
     tensordot_apply,
     tensordot_statevector,
@@ -189,8 +191,7 @@ def test_state_constructors_do_not_alias_caller_arrays():
 
 def test_non_monomial_kinds_are_refused_with_the_verifiers_message():
     vec = random_vec(np.random.default_rng(8), 8)
-    for g in (Gate(gates.H, (1,)), Gate(gates.SYC, (2, 0)), Gate(gates.zzevol(0.3), (0, 1)),
-              Gate(gates.fsim(0.7, 0.2), (2, 1)), Gate(gates.xyevol(0.4), (1, 0))):
+    for g in (Gate(gates.H, (1,)), Gate(gates.fsim(0.7, 0.2), (2, 1))):
         named = rf"^not a SWAP-network circuit: gate \({re.escape(str(g))}\) is not monomial$"
         pure = PureState(3, vec)
         with pytest.raises(ValueError, match=named):
@@ -239,14 +240,15 @@ def test_propagated_phases_are_powers_of_i_mod_4():
 
 
 def test_basis_deviation_is_exact():
-    expected = basis_bits(np.arange(4), 2)
+    rows = counting_rows(2)
     for power, dev in enumerate([0.0, np.sqrt(2), 2.0, np.sqrt(2)]):
         c = Circuit(2, (Gate(gates.S, (1,)),) * power)  # i**power on columns 01 and 11
-        assert basis_deviation(basis_steps(c), expected, expected) == dev == abs(1j**power - 1)
+        assert basis_deviation(basis_steps(c), rows, rows, 4) == dev == abs(1j**power - 1)
     swapped = Circuit(2, (Gate(gates.SWAP, (0, 1)),))  # 01 and 10 land elsewhere
-    assert basis_deviation(basis_steps(swapped), expected, expected) == 1.0
+    assert basis_deviation(basis_steps(swapped), rows, rows, 4) == 1.0
     minus = extended(swapped, [Gate(gates.CZ, (0, 1))])  # and 11 lands home with phase -1
-    assert basis_deviation(basis_steps(minus), expected, expected) == 2.0
+    assert basis_deviation(basis_steps(minus), rows, rows, 4) == 2.0
+    assert rows == counting_rows(2)  # the caller's rows are left alone
 
 
 EVERY_MONOMIAL_KIND = [gates.I] + MONOMIAL_KINDS
@@ -276,7 +278,7 @@ def packed_cases(draw):
           64, [0, 1], (2, 63), 1))
 @settings(max_examples=200, deadline=None)
 def test_packed_rows_match_the_dense_kernel_bit_for_bit(case):
-    """propagate_basis packs each row into one int; the oracle gathers uint8
+    """The engine runs each row packed into one int; the oracle gathers uint8
     rows through each gate_matrix.  Bits, phases and deviations agree at
     every column count, the pad bits past the last column never leak in."""
     c, columns, ones, flip, seed = case
@@ -294,7 +296,7 @@ def test_packed_rows_match_the_dense_kernel_bit_for_bit(case):
         expected[flip] ^= 1
     hit = np.all(want_bits == expected, axis=0)
     worst = max([0.0 if hit.all() else 1.0] + [abs(1j ** int(k) - 1) for k in want_phase[hit]])
-    assert basis_deviation(basis_steps(c), inputs, expected) == worst
+    assert basis_deviation(basis_steps(c), pack(inputs), pack(expected), columns) == worst
 
 
 @pytest.mark.parametrize("kind", EVERY_MONOMIAL_KIND, ids=str)
@@ -321,6 +323,16 @@ def test_bit_matrix_bound_is_two_to_the_24_entries():
         size = rf"{wires} wires x 2\*\*{inputs.bit_length() - 1} basis inputs"
         with pytest.raises(ValueError, match=rf"^refusing exact check: {size} is over 2\*\*24 "):
             check_basis_cap(wires, inputs)
+
+
+@given(st.integers(0, 20))
+@example(0)
+@example(3)
+@example(20)
+@settings(max_examples=25, deadline=None)
+def test_counting_rows_are_the_packed_basis_indices(m):
+    # m = 0..2 has less than one byte of columns, m = 3 exactly one
+    assert counting_rows(m) == pack(basis_bits(np.arange(2**m), m))
 
 
 def test_basis_bits_match_the_shift_formula():
@@ -359,7 +371,7 @@ def test_basis_and_product_states():
     assert s.vec[5] == 1.0 and np.sum(np.abs(s.vec)) == 1.0
     plus = np.array([1, 1]) / np.sqrt(2)
     zero = np.array([1, 0])
-    p = PureState.product([plus, zero])
+    p = product_state([plus, zero])
     assert np.allclose(p.vec, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
 
 
