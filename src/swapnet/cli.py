@@ -99,7 +99,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     path = load_json(args.path, swap_path_from_dict)
     circuit = load_json(args.circuit, circuit_from_dict)
     dev = verify_equivalence(path, circuit, constraints=circuit.known_zero)
-    return _verdict(dev, "equivalent", "NOT equivalent")
+    n, zeros = path.n_wires, sorted(circuit.known_zero)
+    held = f" (wires {', '.join(map(str, zeros))} held at 0, as the circuit declares)"
+    checked = f"on {2 ** (n - len(zeros))} of {2**n} inputs{held}" if zeros else f"on all {2**n} inputs"
+    return _verdict(dev, f"equivalent {checked}", f"NOT equivalent {checked}")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -1,26 +1,32 @@
-"""Gate vocabulary: exact unitaries of the fixed kinds and of fsim.
+"""Gate vocabulary: each kind declared once, by its basis map.
 
 Wire-order convention, fixed package-wide: the first operand of a gate is the
 most significant bit of its matrix index, so a two-qubit matrix acts on
 |q_first q_second> with basis order 00, 01, 10, 11.  Controlled gates take the
 control as the first operand.
 
-Sign conventions are pinned here and nowhere else:
+The truth of a kind is its map in BASIS_MAPS, from the operand bits to the
+output bits and the power k of the phase i**k it multiplies in (the
+phase-polynomial form of arXiv:1303.2042).  `gate_matrix` and the exact
+engine's programs (`sim._program`) both derive from it through
+`basis_table`, and the sign conventions are these maps:
 
-- iswap maps |b1 b2> to (+i)^(b1 xor b2) |b2 b1>  (+i off-diagonal entries);
-- fsim(theta, phi) has -i*sin(theta) middle entries and exp(-i*phi) in the
-  |11> corner, so fsim(pi/2, pi) is the elementwise *conjugate* of iscz, not
-  iscz itself;
-- iscz is the fused gate iswap @ cz == cz @ iswap.
+- iswap: (a, b) -> ((b, a), a ^ b), so +i off-diagonal entries;
+- iscz: (a, b) -> ((b, a), (a ^ b) + 2ab), the fused iswap @ cz == cz @ iswap;
+- y: a -> ((1 - a,), 1 + 2a), so Y|0> = i|1> and Y|1> = -i|0>.
+
+fsim(theta, phi), the one parametric kind, has no map and no program: its
+matrix has -i*sin(theta) middle entries and exp(-i*phi) in the |11> corner,
+so fsim(pi/2, pi) is the elementwise *conjugate* of iscz, not iscz itself.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from numbers import Real
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ class GateKind:
 
 
 ARITY: dict[str, int] = {
-    "i": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdag": 1, "h": 1,
+    "i": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdag": 1,
     "cz": 2, "cnot": 2, "swap": 2, "iswap": 2, "iscz": 2, "fsim": 2,
     "cswap": 3, "ciswap": 3, "ciscz": 3, "ccz": 3, "ccx": 3,
 }
@@ -74,7 +80,6 @@ Y = GateKind("y")
 Z = GateKind("z")
 S = GateKind("s")
 SDAG = GateKind("sdag")
-H = GateKind("h")
 CZ = GateKind("cz")
 CNOT = GateKind("cnot")
 SWAP = GateKind("swap")
@@ -95,62 +100,56 @@ def fsim(theta: float, phi: float) -> GateKind:
 # corrections (sdag)^count.  0 -> nothing, 1 -> sdag, 2 -> z, 3 -> s.
 PHASE_BY_COUNT: dict[int, GateKind | None] = {0: None, 1: SDAG, 2: Z, 3: S}
 
-
-def _fixed_matrices() -> dict[str, np.ndarray]:
-    j = 1j
-    m: dict[str, np.ndarray] = {}
-    m["i"] = np.eye(2, dtype=complex)
-    m["x"] = np.array([[0, 1], [1, 0]], dtype=complex)
-    m["y"] = np.array([[0, -j], [j, 0]], dtype=complex)
-    m["z"] = np.diag([1, -1]).astype(complex)
-    m["s"] = np.diag([1, j]).astype(complex)
-    m["sdag"] = np.diag([1, -j]).astype(complex)
-    m["h"] = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    m["cz"] = np.diag([1, 1, 1, -1]).astype(complex)
-    m["cnot"] = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    m["swap"] = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    m["iswap"] = np.array(
-        [[1, 0, 0, 0], [0, 0, j, 0], [0, j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    m["iscz"] = np.array(
-        [[1, 0, 0, 0], [0, 0, j, 0], [0, j, 0, 0], [0, 0, 0, -1]], dtype=complex
-    )
-    for name in ("swap", "iswap", "iscz"):
-        m["c" + name] = controlled(m[name])
-    m["ccz"] = np.diag([1.0] * 7 + [-1.0]).astype(complex)
-    m["ccx"] = controlled(controlled(m["x"]))
-    return m
+PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
 
 
-def controlled(u: np.ndarray) -> np.ndarray:
-    """Controlled version of u with the control as the new most significant bit."""
-    d = u.shape[0]
-    out = np.eye(2 * d, dtype=complex)
-    out[d:, d:] = u
-    return out
+def _controlled(f):
+    """The map of f behind a control bit, the new first operand."""
+    return lambda c, *bits: ((c, *f(*bits)[0]), f(*bits)[1]) if c else ((c, *bits), 0)
 
 
-_FIXED = _fixed_matrices()
+# operand bits -> (output bits, power of i)
+BASIS_MAPS = {
+    "i": lambda a: ((a,), 0),
+    "x": lambda a: ((1 - a,), 0),
+    "y": lambda a: ((1 - a,), 1 + 2 * a),
+    "z": lambda a: ((a,), 2 * a),
+    "s": lambda a: ((a,), a),
+    "sdag": lambda a: ((a,), 3 * a),
+    "cz": lambda a, b: ((a, b), 2 * a * b),
+    "cnot": lambda a, b: ((a, a ^ b), 0),
+    "swap": lambda a, b: ((b, a), 0),
+    "iswap": lambda a, b: ((b, a), a ^ b),
+    "iscz": lambda a, b: ((b, a), (a ^ b) + 2 * a * b),
+}
+_CONTROLLED = {"cswap": "swap", "ciswap": "iswap", "ciscz": "iscz", "ccz": "cz", "ccx": "cnot"}
+BASIS_MAPS |= {name: _controlled(BASIS_MAPS[target]) for name, target in _CONTROLLED.items()}
 
 
-def gate_matrix(kind: GateKind) -> np.ndarray:
-    """Exact unitary for a gate kind (copy; callers may mutate)."""
-    if kind.name in _FIXED:
-        return _FIXED[kind.name].copy()
+@cache
+def basis_table(name: str) -> tuple[tuple[int, int], ...]:
+    """Each basis input j's (destination index, power of i mod 4) under a
+    declared kind's basis map, the first operand the most significant bit."""
+    a = ARITY[name]
+    table = []
+    for j in range(2**a):
+        bits, power = BASIS_MAPS[name](*((j >> (a - 1 - p)) & 1 for p in range(a)))
+        table.append((sum(b << (a - 1 - p) for p, b in enumerate(bits)), power % 4))
+    return tuple(table)
+
+
+def gate_matrix(kind: GateKind):
+    """Exact unitary for a gate kind, a new complex ndarray: U[dest, j] =
+    i**power for each basis input j of a declared kind, fsim's closed form."""
+    import numpy as np  # the vocabulary itself needs none
+
     if kind.name == "fsim":
         theta, phi = kind.params
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array(
-            [
-                [1, 0, 0, 0],
-                [0, c, -1j * s, 0],
-                [0, -1j * s, c, 0],
-                [0, 0, 0, np.exp(-1j * phi)],
-            ],
-            dtype=complex,
-        )
-    raise ValueError(f"no matrix for kind {kind!r}")
+        c, s = math.cos(theta), -1j * math.sin(theta)
+        rows = [[1, 0, 0, 0], [0, c, s, 0], [0, s, c, 0], [0, 0, 0, cmath.exp(-1j * phi)]]
+        return np.array(rows, dtype=complex)
+    table = basis_table(kind.name)
+    u = np.zeros((len(table), len(table)), dtype=complex)
+    for j, (dest, power) in enumerate(table):
+        u[dest, j] = PHASES[power]
+    return u

@@ -252,7 +252,6 @@ def summarize(records: list[TrialRecord]) -> list[dict[str, Any]]:
                 "mean_swaps": sum(r.m_swaps for r in grp) / len(grp),
                 "mean_two_qubit_gates": sum(r.two_qubit_gates for r in grp) / len(grp),
                 "mean_two_qubit_depth": sum(r.two_qubit_depth for r in grp) / len(grp),
-                "worst_noiseless_error": max(abs(1.0 - r.fidelity_noiseless) for r in grp),
                 "mean_fidelity_noisy": sum(r.fidelity_noisy for r in grp) / len(grp),
             }
         )

@@ -3,20 +3,18 @@
 Basis convention matches gates.py: wire 0 is the most significant bit of the
 basis index, so a state over n wires reshaped to [2]*n has axis w == wire w.
 
-A gate is monomial, or it is refused by name.  Monomial kinds are those whose
-matrix has one nonzero entry per row, each in {1, -1, i, -i}: every fixed
-kind except h (x, y, z, s, sdag, cz, cnot, swap, iswap, iscz, cswap, ciswap,
-ciscz, ccz, ccx, and the identity), so every gate a SWAP-network compiler or
-the QRAM builder emits.  Any other gate (h or fsim) is refused by every
-entry point with one ValueError, "not a SWAP-network circuit: gate ... is
-not monomial", which `_table` alone raises.
+A gate is monomial, or it is refused by name.  Monomial kinds are the
+declared kinds (gates.BASIS_MAPS), each sending a basis state to one basis
+state times a power of i: every gate a SWAP-network compiler or the QRAM
+builder emits.  fsim is refused, whatever its angles, by every entry point
+with one ValueError, "not a SWAP-network circuit: gate ... is not
+monomial", which `_table` alone raises.
 
-A monomial gate sends a basis state to one basis state times a power of i,
-so one kernel, `_run`, runs every circuit: it pushes a batch of basis
+So one kernel, `_run`, runs every circuit: it pushes a batch of basis
 inputs through a circuit bit-sliced (as in arXiv:quant-ph/0406196): each
 wire's row over the C inputs is one Python int, bit c for input c, and the
 phase power mod 4 two more, a low and a high bit plane.  Each kind's
-`_monomial` table is compiled once, on first use, into a `_program`: a
+`gates.basis_table` is compiled once, on first use, into a `_program`: a
 GF(2) polynomial over the operand bits per moved bit and a Z4 one for the
 phase, so a gate is a few AND and XOR operations over C/64 machine words.
 `basis_steps` pairs each gate with its program, so every entry point
@@ -53,13 +51,13 @@ over BASIS_ENTRY_CAP bits before the rows exist.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from numbers import Real
 
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .gates import GateKind, gate_matrix
+from .gates import ARITY, BASIS_MAPS, PHASES, basis_table
 
 DENSITY_WIRE_CAP = 10
 UNITARY_WIRE_CAP = 12
@@ -125,34 +123,7 @@ class MixedState:
         self.rho[:, index] = rows
 
 
-_PHASES = (1, 1j, -1, -1j)  # i**power for power 0..3
-_POWERS = np.array(_PHASES)
-
-
-def _monomial(kind: GateKind) -> tuple | None:
-    """The basis map of a monomial kind, the table `_program` compiles.
-
-    Column j of the matrix is i**power[j] times the basis vector dest[j].
-    Returned as (moves, power): moves pairs each operand position whose bit
-    can change with that bit of dest, per j; power is None when every phase
-    is 1.  None when the matrix is not monomial with every nonzero entry in
-    _PHASES.
-    """
-    u = gate_matrix(kind)
-    a = kind.arity
-    nonzero = u != 0
-    if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
-        return None
-    if not all(z in _PHASES for z in u[nonzero]):
-        return None
-    dest = np.argmax(nonzero, axis=0)
-    power = np.array([_PHASES.index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
-    moves = []
-    for p in range(a):
-        bit = ((dest >> (a - 1 - p)) & 1).astype(np.uint8)
-        if np.any(bit != (np.arange(2**a) >> (a - 1 - p)) & 1):
-            moves.append((p, bit))
-    return tuple(moves), (power if power.any() else None)
+_POWERS = np.array(PHASES)
 
 
 def _moebius(values, modulus: int) -> list[int]:
@@ -164,10 +135,10 @@ def _moebius(values, modulus: int) -> list[int]:
             for s in range(n)]
 
 
-@lru_cache(maxsize=256)
-def _program(name: str, params: tuple) -> tuple | None:
-    """_monomial's table as polynomials over the operand bits, the form
-    `_run` evaluates on packed rows; None when the kind is not monomial.
+@cache
+def _program(name: str) -> tuple | None:
+    """The kind's basis table as polynomials over the operand bits, the form
+    `_run` evaluates on packed rows; None when the kind is not declared.
 
     Slot 0 holds all ones and slot 1 + p operand p's row.  Returned as
     (ands, outs, adds): each pair (i, j) of ands appends the AND of slots i
@@ -175,12 +146,10 @@ def _program(name: str, params: tuple) -> tuple | None:
     rest), its new bit the XOR of those slots (its GF(2) form); adds lists
     the (coefficient, slot) terms of the phase power mod 4.  For iswap,
     outs sends each operand the other's slot and adds is x0 + x1 + 2 x0 x1."""
-    kind = GateKind(name, params)
-    table = _monomial(kind)
-    if table is None:
+    if name not in BASIS_MAPS:
         return None
-    moves, power = table
-    a = kind.arity
+    a = ARITY[name]
+    dest, power = zip(*basis_table(name))
     slots = {0: 0} | {1 << (a - 1 - p): 1 + p for p in range(a)}  # operand set -> slot
     ands: list[tuple[int, int]] = []
 
@@ -191,10 +160,12 @@ def _program(name: str, params: tuple) -> tuple | None:
         return slots[s]
 
     outs = []
-    for p, bit in moves:
-        first, *rest = (slot(s) for s, c in enumerate(_moebius(bit, 2)) if c)
-        outs.append((p, first, tuple(rest)))
-    adds = () if power is None else tuple((c, slot(s)) for s, c in enumerate(_moebius(power, 4)) if c)
+    for p in range(a):
+        bit = [(d >> (a - 1 - p)) & 1 for d in dest]
+        if bit != [(j >> (a - 1 - p)) & 1 for j in range(2**a)]:
+            first, *rest = (slot(s) for s, c in enumerate(_moebius(bit, 2)) if c)
+            outs.append((p, first, tuple(rest)))
+    adds = tuple((c, slot(s)) for s, c in enumerate(_moebius(power, 4)) if c)
     return tuple(ands), tuple(outs), adds
 
 
@@ -202,7 +173,7 @@ def _table(gate: Gate, index: int | None = None) -> tuple:
     """The _program of the gate's kind.  A gate outside the monomial set is
     refused here and only here, named with its index in the circuit when
     one is given."""
-    program = _program(gate.kind.name, gate.kind.params)
+    program = _program(gate.kind.name)
     if program is None:
         at = "" if index is None else f"{index} "
         raise ValueError(f"not a SWAP-network circuit: gate {at}({gate}) is not monomial")
@@ -286,7 +257,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 # -- exact phase-permutation engine -------------------------------------------
 
-_DEVIATION_BY_POWER = np.abs(_POWERS - 1)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
+_DEVIATION_BY_POWER = tuple(abs(z - 1.0) for z in PHASES)  # |i**k - 1|: 0, sqrt 2, 2, sqrt 2
 
 
 def basis_steps(circuit: Circuit) -> list[tuple[tuple[int, ...], tuple]]:
@@ -373,7 +344,7 @@ def basis_deviation(steps: list, rows: list[int], expected: list[int], columns: 
         miss |= row ^ want
     hit = ones ^ miss
     power = 2 if hi & ~lo & hit else 1 if lo & hit else 0
-    return max(1.0 if miss else 0.0, float(_DEVIATION_BY_POWER[power]))
+    return max(1.0 if miss else 0.0, _DEVIATION_BY_POWER[power])
 
 
 def fidelity(a: PureState | MixedState, b: PureState | MixedState) -> float:

@@ -1,17 +1,21 @@
 """Independent oracles for the tests: plain scans and dense products that the
 library computes another, faster way.
 
-The amplitude oracles build every amplitude from `gate_matrix`, never from
-the gate programs the engine runs, so a test that compares the engine with
-them compares two computations, not one engine with itself.  So does
-`dense_propagate`, which gathers basis inputs as uint8 rows through each
-gate's matrix: the dense reference for the packed engine.  The uint8 form
-lives here alone: `basis_bits` unpacks basis indices into it, `pack` packs
-it into the engine's rows (the reference for `sim.counting_rows`), and
-`propagate_basis` runs the engine on it and unpacks the result.  On that
-form `bit_matrix_path_deviation` and `bit_matrix_qram_deviation` recompute
-the verifiers' values from uint8 input and expected matrices built by index
-arithmetic, as the verifiers once did, compared column by column in numpy.
+`MATRICES` writes every declared kind's unitary out by hand, with
+`controlled` for the controlled kinds; `matrix` reads them, and fsim, which
+has no basis map, from `gate_matrix`.  The library derives both its
+matrices and the gate programs the engine runs from one basis map per
+kind, so the amplitude oracles build every amplitude from `matrix` instead:
+a test that compares the engine with them compares two computations, not
+one table with itself.  So does `dense_propagate`, which gathers basis
+inputs as uint8 rows through each gate's matrix: the dense reference for
+the packed engine.  The uint8 form lives here alone: `basis_bits` unpacks
+basis indices into it, `pack` packs it into the engine's rows (the
+reference for `sim.counting_rows`), and `propagate_basis` runs the engine
+on it and unpacks the result.  On that form `bit_matrix_path_deviation`
+and `bit_matrix_qram_deviation` recompute the verifiers' values from uint8
+input and expected matrices built by index arithmetic, as the verifiers
+once did, compared column by column in numpy.
 `layers` and `metrics_by_arity` (the generic loop `metrics` unrolls) are the
 oracles for `metrics`, `legal_cz_slots` for `compile_ext2`'s
 one-sweep slot search, and `noisy_density` (a density matrix through every
@@ -35,6 +39,45 @@ from swapnet.circuit import Circuit, CouplingMap, Metrics
 from swapnet.compiler import SwapPath
 from swapnet.gates import gate_matrix
 from swapnet.sim import PureState, _run, basis_steps, depolarize_pair
+
+
+def controlled(u):
+    """Controlled version of u with the control as the new most significant bit."""
+    d = u.shape[0]
+    out = np.eye(2 * d, dtype=complex)
+    out[d:, d:] = u
+    return out
+
+
+def _hand_written():
+    j = 1j
+    m = {
+        "i": np.eye(2, dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -j], [j, 0]], dtype=complex),
+        "z": np.diag([1, -1]).astype(complex),
+        "s": np.diag([1, j]).astype(complex),
+        "sdag": np.diag([1, -j]).astype(complex),
+        "cz": np.diag([1, 1, 1, -1]).astype(complex),
+        "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+        "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+        "iswap": np.array([[1, 0, 0, 0], [0, 0, j, 0], [0, j, 0, 0], [0, 0, 0, 1]], dtype=complex),
+        "iscz": np.array([[1, 0, 0, 0], [0, 0, j, 0], [0, j, 0, 0], [0, 0, 0, -1]], dtype=complex),
+    }
+    for name in ("swap", "iswap", "iscz"):
+        m["c" + name] = controlled(m[name])
+    m["ccz"] = np.diag([1.0] * 7 + [-1.0]).astype(complex)
+    m["ccx"] = controlled(controlled(m["x"]))
+    return m
+
+
+MATRICES = _hand_written()
+
+
+def matrix(kind):
+    """The kind's unitary (a copy): hand-written for a declared kind, fsim's from gate_matrix."""
+    return MATRICES[kind.name].copy() if kind.name in MATRICES else gate_matrix(kind)
+
 
 PAULI_1Q = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -134,7 +177,7 @@ def dense_unitary(circuit):
     bits = (b[:, None] >> np.arange(n - 1, -1, -1)) & 1  # row b: its wires, wire 0 first
     u = np.eye(2**n, dtype=complex)
     for g in circuit.gates:
-        m = gate_matrix(g.kind)
+        m = matrix(g.kind)
         w = len(g.wires)
         perm = list(g.wires) + [i for i in range(n) if i not in g.wires]
         p = np.zeros((2**n, 2**n))
@@ -206,13 +249,13 @@ def bit_matrix_qram_deviation(spec, circuit):
 def dense_propagate(circuit, bits):
     """The (wires x inputs) uint8 basis inputs pushed through the circuit gate
     by gate with numpy gathers over whole rows: each gate's operand bits form
-    an index into the destination and phase power of its gate_matrix column.
+    an index into the destination and phase power of its matrix column.
     Returns the output bits and the phase power mod 4 per input, the form
     propagate_basis gives from packed rows."""
     bits = np.array(bits, dtype=np.uint8)
     phase = np.zeros(bits.shape[1], dtype=np.uint8)  # wraps mod 256, a multiple of 4
     for g in circuit.gates:
-        u = gate_matrix(g.kind)
+        u = matrix(g.kind)
         dest = np.argmax(u != 0, axis=0)
         power = np.array([[1, 1j, -1, -1j].index(u[d, j]) for j, d in enumerate(dest)], dtype=np.uint8)
         index = np.zeros(bits.shape[1], dtype=np.intp)
@@ -228,7 +271,7 @@ def dense_propagate(circuit, bits):
 def tensordot_apply(t, kind, axes, conj=False):
     """Contract the gate tensor with the state's operand axes."""
     w = len(axes)
-    u = gate_matrix(kind)
+    u = matrix(kind)
     if conj:
         u = u.conj()
     out = np.tensordot(u.reshape([2] * (2 * w)), t, axes=(list(range(w, 2 * w)), list(axes)))
@@ -275,7 +318,7 @@ def pauli_expansion(kind):
     """Expand a two-qubit gate over the 16 Pauli products, coeff = Tr[(P(x)Q)^dag M]/4."""
     if kind.arity != 2:
         raise ValueError(f"pauli_expansion needs a two-qubit gate, got {kind}")
-    m = gate_matrix(kind)
+    m = matrix(kind)
     coeffs = {}
     for a, b in product("IXYZ", repeat=2):
         p = np.kron(PAULI_1Q[a], PAULI_1Q[b])

@@ -2,7 +2,8 @@
 
 Tolerances are pinned here: 1e-12 for gate algebra and Pauli reconstructions,
 1e-10 for compiled-circuit equivalence against the reference permutation,
-1e-9 for QRAM verification and benchmark noiseless fidelities.  Runtime caps
+1e-9 for QRAM verification; the benchmark's noiseless fidelities, each an
+exact check, must be exactly 1.  Runtime caps
 are asserted where the claim includes one: the 200-path property sweep must
 finish under 60 s and the 1,800-record benchmark, its noise priced by
 counting value subsets, under 600 s.  Run with -s to see the per-criterion
@@ -234,7 +235,7 @@ def test_criterion_5_benchmark_trends():
     problems = []
 
     worst_clean = max(abs(r.fidelity_noiseless - 1.0) for r in records)
-    if worst_clean > TOL_QRAM:
+    if worst_clean != 0.0:  # each noiseless column is an exact check
         problems.append(f"noiseless fidelity off by {worst_clean:.2e}")
 
     noisy: dict[tuple[int, str], list[float]] = {}

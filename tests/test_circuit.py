@@ -206,7 +206,7 @@ def test_layers_groups_disjoint_gates():
 
 
 gate_pool = st.sampled_from(
-    [gates.X, gates.H, gates.S, gates.CZ, gates.CNOT, gates.ISCZ, gates.CCZ, gates.CSWAP]
+    [gates.X, gates.Y, gates.S, gates.CZ, gates.CNOT, gates.ISCZ, gates.CCZ, gates.CSWAP]
 )
 
 
@@ -315,7 +315,7 @@ def test_validate_flags_non_edges():
 
 def test_validate_ignores_single_qubit_gates():
     line = CouplingMap.line(3)
-    c = Circuit(3, (Gate(gates.H, (0,)), iscz(0, 2)))
+    c = Circuit(3, (Gate(gates.Y, (0,)), iscz(0, 2)))
     bad = validate(c, line)
     assert [v.gate_index for v in bad] == [1]
 
@@ -337,7 +337,7 @@ def test_circuit_json_round_trip():
     c = Circuit(
         3,
         (
-            Gate(gates.H, (0,)),
+            Gate(gates.Y, (0,)),
             Gate(gates.fsim(0.25, 1.5), (0, 2)),
             Gate(gates.CSWAP, (0, 1, 2)),
         ),

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -68,6 +69,38 @@ def test_verify_fails_on_wrong_circuit(capsys, tmp_path, path_file):
     rc, out, err = run(capsys, "verify", "--path", path_file, "--circuit", str(wrong))
     assert rc == 1
     assert "NOT equivalent" in err
+
+
+@pytest.mark.parametrize("body, known_zero, rc, verdict", [
+    ([], [], 1, "NOT equivalent on all 8 inputs"),
+    ([], [0, 2], 0, "equivalent on 2 of 8 inputs (wires 0, 2 held at 0, as the circuit declares)"),
+    ([{"kind": "x", "wires": [1]}], [2, 0], 1,
+     "NOT equivalent on 2 of 8 inputs (wires 0, 2 held at 0, as the circuit declares)"),
+    ([{"kind": "swap", "wires": [0, 2]}], [], 0, "equivalent on all 8 inputs"),
+])
+def test_verify_verdict_names_the_inputs_it_checked(capsys, tmp_path, body, known_zero, rc, verdict):
+    # the path's permutation exchanges wires 0 and 2, which the empty circuit
+    # does too on the inputs where both hold 0
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 3, "path": [[0, 1], [1, 2], [0, 1]]}))
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps({"n": 3, "gates": body, "known_zero": known_zero}))
+    got, out, err = run(capsys, "verify", "--path", str(path), "--circuit", str(circ))
+    assert (got, err) == (rc, verdict + "\n")
+    assert out == f"max deviation: {1.0 if rc else 0.0:.6e}\n"
+
+
+def test_verify_refuses_fsim_at_angles_where_it_is_the_identity(capsys, tmp_path):
+    # fsim(0, 0) has an exact identity matrix, but it is no declared kind
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 2, "path": [[0, 1]]}))
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps({"n": 2, "gates": [
+        {"kind": "swap", "wires": [0, 1]}, {"kind": "fsim", "wires": [0, 1], "params": [0, 0]},
+    ]}))
+    rc, out, err = run(capsys, "verify", "--path", str(path), "--circuit", str(circ))
+    assert (rc, out) == (2, "")
+    assert err == "error: not a SWAP-network circuit: gate 1 (fsim(0, 0) 0 1) is not monomial\n"
 
 
 @pytest.mark.parametrize("mode, extra, line", [
@@ -405,9 +438,39 @@ def test_matrix_json_is_exact(capsys):
     assert rc == 0 and "+1.000000" in out
 
 
+MATRIX_KINDS = [
+    "i", "x", "y", "z", "s", "sdag", "cz", "cnot", "swap", "iswap", "iscz",
+    "cswap", "ciswap", "ciscz", "ccz", "ccx",
+]
+MATRIX_FSIM_PARAMS = [
+    "0,0", "0,6.283185307179586", "6.283185307179586,0", "1.5707963267948966,3.141592653589793",
+    "3.141592653589793,3.141592653589793", "-1.5707963267948966,0", "0.3,1.1", "0.4,2",
+    "0.7,0.2", "-2.5,0.75", "1e-300,-1e-300", "100,-100", "0.5,0.25", "2,3",
+    "-0.1,-0.2", "3,-3", "0.7853981633974483,0.7853981633974483", "12.5,0.001", "1,1", "-7,4.5",
+]
+# sha256 of the stdout of every invocation in turn, pinned while each kind was
+# still written out as a numpy matrix: signed zeros print, so they count too
+MATRIX_DIGESTS = {
+    "text": "6139764ec55a7df7608a08671b01f075106ea03685a7f32a26fa24483a50f36a",
+    "json": "5da6cd6d63369b78a0053dc2e76d7d469f1dcd4d8bca5a3beb00c701526ba8a3",
+}
+
+
+@pytest.mark.parametrize("form", sorted(MATRIX_DIGESTS))
+def test_matrix_output_is_pinned(capsys, form):
+    argvs = [["--gate", k] for k in MATRIX_KINDS]
+    argvs += [["--gate", "fsim", f"--params={p}"] for p in MATRIX_FSIM_PARAMS]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        rc, out, _ = run(capsys, "matrix", *argv, *(["--json"] if form == "json" else []))
+        assert rc == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == MATRIX_DIGESTS[form]
+
+
 def test_matrix_unknown_gate_is_exit_two(capsys):
-    # syc, xyevol and zzevol were kinds once; no compiler emitted them
-    for name in ("nosuch", "syc", "xyevol", "zzevol"):
+    # syc, xyevol, zzevol and h were kinds once; no compiler emits them
+    for name in ("nosuch", "syc", "xyevol", "zzevol", "h"):
         rc, _, err = run(capsys, "matrix", "--gate", name)
         assert rc == 2 and err.startswith(f"error: unknown gate {name!r}; choose from ")
     rc, _, err = run(capsys, "matrix", "--gate", "fsim", "--params", "1.0")
@@ -435,21 +498,26 @@ def test_verify_over_the_bit_matrix_bound_is_usage_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+UNKNOWN_H = "gates[5].kind 'h' is not a known gate"
+
+
 @pytest.mark.parametrize(
     "extra, named",
     [
-        ([{"kind": "fsim", "wires": [0, 1], "params": [0.3, 0.2]}], "gate 5 (fsim(0.3, 0.2) 0 1)"),
-        ([{"kind": "h", "wires": [1]}], "gate 5 (h 1)"),
+        ([{"kind": "fsim", "wires": [0, 1], "params": [0.3, 0.2]}],
+         "not a SWAP-network circuit: gate 5 (fsim(0.3, 0.2) 0 1)"),
+        ([{"kind": "h", "wires": [1]}], UNKNOWN_H),
         ([{"kind": "h", "wires": [0]}, {"kind": "cz", "wires": [1, 2]},
-          {"kind": "h", "wires": [0]}], "gate 5 (h 0)"),
+          {"kind": "h", "wires": [0]}], UNKNOWN_H),
         ([{"kind": "h", "wires": [2]}, {"kind": "ccz", "wires": [0, 1, 2]},
-          {"kind": "h", "wires": [2]}], "gate 5 (h 2)"),
+          {"kind": "h", "wires": [2]}], UNKNOWN_H),
     ],
     ids=["fsim", "lone-h", "h-pair-off-wire", "h-ccz-h"],
 )
 def test_verify_refuses_a_circuit_outside_the_engine(capsys, tmp_path, path_file, extra, named):
     # the compiled circuit of the 3-wire path (two iSCZs, three phase gates),
-    # then gates no SWAP network emits
+    # then gates no SWAP network emits: fsim is refused by the engine, and h,
+    # no kind any more, by the reader
     doc = circuit_to_dict(compile_iscz(SwapPath(3, ((0, 1), (1, 2)))).circuit)
     assert len(doc["gates"]) == 5
     doc["gates"] += extra
@@ -457,7 +525,7 @@ def test_verify_refuses_a_circuit_outside_the_engine(capsys, tmp_path, path_file
     circ.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "verify", "--path", path_file, "--circuit", str(circ))
     assert rc == 2 and out == ""
-    assert err.startswith(f"error: not a SWAP-network circuit: {named} ")
+    assert err.startswith(f"error: {named}")
     assert len(err.splitlines()) == 1
 
 
@@ -600,6 +668,7 @@ ANY_EXIT = (0, 1, 2)
 # gates no SWAP network emits: verify must refuse them, exit 2
 OUTSIDE_THE_ENGINE = [
     {"kind": "fsim", "wires": [0, 1], "params": [0.3, 0.2]},
+    {"kind": "fsim", "wires": [0, 1], "params": [0, 0]},
     {"kind": "h", "wires": [1]},
 ]
 

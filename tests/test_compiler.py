@@ -514,10 +514,7 @@ def test_property_adjacent_slots_always_legal(path):
 
 # -- the exact engine against the dense oracle ---------------------------------
 
-MONOMIAL_KINDS = [
-    gates.GateKind(name) for name in gates.ARITY
-    if name not in ("h", "fsim")
-]
+MONOMIAL_KINDS = [gates.GateKind(name) for name in gates.BASIS_MAPS]
 SELF_INVERSE = {"i", "x", "y", "z", "cz", "cnot", "swap", "cswap", "ccz", "ccx"}
 PHASES = np.array([1, 1j, -1, -1j])
 
@@ -594,16 +591,19 @@ def test_property_exact_engine_matches_the_dense_unitary(case):
     assert abs(verify_equivalence(path, circuit, constraints) - dense) <= 1e-12
 
 
+FSIM = gates.fsim(0.7, 0.2)
+
+
 @pytest.mark.parametrize(
     "extra",
     [
         [Gate(gates.fsim(0.3, 0.2), (0, 1))],
-        [Gate(gates.H, (2,))],
-        # h pairs, around a gate off their wire or on it: the first h is named
-        [Gate(gates.H, (4,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (4,))],
-        [Gate(gates.H, (0,)), Gate(gates.ISWAP, (0, 1)), Gate(gates.H, (0,))],
-        # the Toffoli as h, ccz, h is not one step: ccx is the Toffoli
-        [Gate(gates.H, (2,)), Gate(gates.CCZ, (0, 1, 2)), Gate(gates.H, (2,))],
+        # the cases once held h, which is no kind now; fsim(0.7, 0.2) stands in
+        [Gate(FSIM, (2, 3))],
+        # pairs around a gate off their wires or on them: the first is named
+        [Gate(FSIM, (4, 3)), Gate(gates.CCZ, (0, 1, 2)), Gate(FSIM, (4, 3))],
+        [Gate(FSIM, (0, 1)), Gate(gates.ISWAP, (0, 1)), Gate(FSIM, (0, 1))],
+        [Gate(FSIM, (2, 1)), Gate(gates.CCZ, (0, 1, 2)), Gate(FSIM, (2, 1))],
     ],
     ids=["fsim", "lone-h", "h-off-wire", "h-iswap-h", "h-ccz-h"],
 )

@@ -1,10 +1,16 @@
 """Gate matrices: exact values, algebraic identities, Pauli expansions.
 
+Every declared kind's matrix is derived from its basis map, and is checked
+byte for byte against the hand-written matrix in tests/oracles.py.
 Tolerance discipline: identities that hold in exact arithmetic are checked
 entrywise to 1e-12; nothing is compared up to global phase.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +18,15 @@ import pytest
 from swapnet import gates
 from swapnet.circuit import Gate
 from swapnet.gates import (
+    ARITY,
+    BASIS_MAPS,
     GateKind,
     PHASE_BY_COUNT,
-    controlled,
     fsim,
     gate_matrix,
 )
 
-from oracles import pauli_expansion
+from oracles import MATRICES, controlled, pauli_expansion
 
 TOL = 1e-12
 
@@ -37,13 +44,32 @@ def assert_close(a, b, tol=TOL):
 
 
 ALL_FIXED = [
-    gates.I, gates.X, gates.Y, gates.Z, gates.S, gates.SDAG, gates.H,
+    gates.I, gates.X, gates.Y, gates.Z, gates.S, gates.SDAG,
     gates.CZ, gates.CNOT, gates.SWAP, gates.ISWAP, gates.ISCZ,
     gates.CSWAP, gates.CISWAP, gates.CISCZ, gates.CCZ, gates.CCX,
 ]
 PARAMETRIC_SAMPLES = [
     fsim(0.0, 0.0), fsim(math.pi / 2, math.pi), fsim(0.3, 1.1),
 ]
+
+
+def test_every_kind_but_fsim_is_declared_by_its_basis_map():
+    assert set(BASIS_MAPS) == set(ARITY) - {"fsim"} == {k.name for k in ALL_FIXED} == set(MATRICES)
+
+
+@pytest.mark.parametrize("kind", ALL_FIXED, ids=str)
+def test_each_derived_matrix_is_the_hand_written_one_byte_for_byte(kind):
+    # signed zeros included: -1j has a -0.0 real part, and `matrix` prints it
+    u = mat(kind)
+    assert u.dtype == np.complex128 and u.tobytes() == MATRICES[kind.name].tobytes()
+
+
+def test_importing_the_vocabulary_imports_no_numpy():
+    code = 'import sys, swapnet.gates; assert "numpy" not in sys.modules, "numpy"'
+    src = str(Path(gates.__file__).parents[1])  # the package under test, wherever it lives
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("kind", ALL_FIXED + PARAMETRIC_SAMPLES, ids=str)
@@ -145,9 +171,10 @@ def test_controlled_builds_block_unitary():
 
 
 def test_three_qubit_kinds():
-    assert_close(mat(gates.CSWAP), controlled(mat(gates.SWAP)))
-    assert_close(mat(gates.CISWAP), controlled(mat(gates.ISWAP)))
-    assert_close(mat(gates.CISCZ), controlled(mat(gates.ISCZ)))
+    assert np.array_equal(mat(gates.CSWAP), controlled(mat(gates.SWAP)))
+    assert np.array_equal(mat(gates.CISWAP), controlled(mat(gates.ISWAP)))
+    assert np.array_equal(mat(gates.CISCZ), controlled(mat(gates.ISCZ)))
+    assert np.array_equal(mat(gates.CCX), controlled(mat(gates.CNOT)))
     assert np.array_equal(mat(gates.CCZ), np.diag([1.0] * 7 + [-1.0]).astype(complex))
 
 

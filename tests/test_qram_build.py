@@ -290,16 +290,18 @@ def test_non_monomial_circuits_are_refused():
     lay = TreeLayout(2, 1)
     tree = lay.node_addr(1, 1), lay.node_data(1, 1)
     # fsim fixes |00> on the restored tree wires, but it is still no SWAP-network gate
-    for extra in (Gate(gates.fsim(0.4, 0.9), tree), Gate(gates.H, (tree[0],))):
+    # and fsim(0, 0) is the identity matrix, but no declared kind either
+    for extra in (Gate(gates.fsim(0.4, 0.9), tree), Gate(gates.fsim(0, 0), tree)):
         named = rf"^not a SWAP-network circuit: gate {len(circuit)} \({extra.kind.name}"
         with pytest.raises(ValueError, match=named):
             verify_circuit_matches(spec, extended(circuit, [extra]))
-    # a Toffoli written as h, ccz, h is refused at its first h
+    # a Toffoli with fsim(0.7, 0.2) around its ccz, where h once was, is
+    # refused at the first of them
     i = next(i for i, g in enumerate(circuit.gates) if g.kind == gates.CCX)
-    h = Gate(gates.H, circuit.gates[i].wires[2:])
-    toffoli = (h, Gate(gates.CCZ, circuit.gates[i].wires), h)
+    odd = Gate(gates.fsim(0.7, 0.2), circuit.gates[i].wires[1:])
+    toffoli = (odd, Gate(gates.CCZ, circuit.gates[i].wires), odd)
     old_form = Circuit(circuit.n_wires, circuit.gates[:i] + toffoli + circuit.gates[i + 1 :])
-    with pytest.raises(ValueError, match=rf"^not a SWAP-network circuit: gate {i} \(h "):
+    with pytest.raises(ValueError, match=rf"^not a SWAP-network circuit: gate {i} \(fsim"):
         verify_circuit_matches(spec, old_form)
 
 

@@ -1,12 +1,12 @@
 """Simulation on the one basis-map engine: statevectors, density matrices,
 noise, fidelity.
 
-Independent oracles from tests/oracles.py, both built from gate_matrix:
-dense matrix arithmetic (kron products applied to full vectors) recomputes
-what the basis maps produce, and a gate-by-gate tensordot contraction, with
+Independent oracles from tests/oracles.py, both built from its hand-written
+matrices: dense matrix arithmetic (kron products applied to full vectors)
+recomputes what the basis maps produce, and a gate-by-gate tensordot contraction, with
 the einsum depolarizing formula, pins them bit for bit, one gate or a whole
-noisy circuit at a time.  A gate outside the monomial set (h or fsim) is
-refused by every entry point with the verifier's one message.
+noisy circuit at a time.  A gate outside the monomial set (fsim, at any
+angles) is refused by every entry point with the verifier's one message.
 """
 
 import re
@@ -18,13 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from swapnet import gates
 from swapnet.circuit import Circuit, Gate
-from swapnet.gates import gate_matrix
+from swapnet.gates import basis_table
 from swapnet.sim import (
     DENSITY_WIRE_CAP,
     UNITARY_WIRE_CAP,
     MixedState,
     PureState,
-    _monomial,
     apply_circuit,
     basis_deviation,
     basis_steps,
@@ -40,6 +39,7 @@ from oracles import (
     dense_propagate,
     dense_unitary,
     extended,
+    matrix,
     noisy_density,
     pack,
     product_state,
@@ -191,7 +191,8 @@ def test_state_constructors_do_not_alias_caller_arrays():
 
 def test_non_monomial_kinds_are_refused_with_the_verifiers_message():
     vec = random_vec(np.random.default_rng(8), 8)
-    for g in (Gate(gates.H, (1,)), Gate(gates.fsim(0.7, 0.2), (2, 1))):
+    # fsim(0, 0) is the identity matrix, but no declared kind
+    for g in (Gate(gates.fsim(0, 0), (1, 0)), Gate(gates.fsim(0.7, 0.2), (2, 1))):
         named = rf"^not a SWAP-network circuit: gate \({re.escape(str(g))}\) is not monomial$"
         pure = PureState(3, vec)
         with pytest.raises(ValueError, match=named):
@@ -223,10 +224,9 @@ def test_ccx_propagates_as_an_exact_toffoli():
     assert np.array_equal(bits, want) and not phase.any()
     rows = (1 << np.arange(3, -1, -1)) @ want.astype(np.int64)
     assert np.array_equal(circuit_unitary(c), np.eye(16)[rows].T)  # exact, no rounding
-    # written as h, ccz, h the Toffoli is not one step: its first h is refused
-    h = Gate(gates.H, (1,))
-    with pytest.raises(ValueError, match=r"^not a SWAP-network circuit: gate 0 \(h 1\)"):
-        basis_steps(Circuit(4, (h, Gate(gates.CCZ, (3, 0, 1)), h)))
+    # the Toffoli is one step: h, which once wrote it as h, ccz, h, is no kind
+    with pytest.raises(ValueError, match=r"^unknown gate name: 'h'$"):
+        gates.GateKind("h")
 
 
 def test_propagated_phases_are_powers_of_i_mod_4():
@@ -279,8 +279,9 @@ def packed_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_packed_rows_match_the_dense_kernel_bit_for_bit(case):
     """The engine runs each row packed into one int; the oracle gathers uint8
-    rows through each gate_matrix.  Bits, phases and deviations agree at
-    every column count, the pad bits past the last column never leak in."""
+    rows through each hand-written matrix.  Bits, phases and deviations
+    agree at every column count, the pad bits past the last column never
+    leak in."""
     c, columns, ones, flip, seed = case
     inputs = np.random.default_rng(seed).integers(0, 2, size=(c.n_wires, columns), dtype=np.uint8)
     inputs[ones] = 1
@@ -302,18 +303,29 @@ def test_packed_rows_match_the_dense_kernel_bit_for_bit(case):
 @pytest.mark.parametrize("kind", EVERY_MONOMIAL_KIND, ids=str)
 def test_each_kind_program_reproduces_its_monomial_table(kind):
     """The compiled program, evaluated one basis input at a time with 0/1
-    slots, gives _monomial's moved bits and phase power on all 2**r inputs."""
+    slots, gives the declared table's output bits and phase power on all
+    2**r inputs; an operand the program leaves out keeps its bit."""
     r = kind.arity
     ((_, (ands, outs, adds)),) = basis_steps(Circuit(r, (Gate(kind, tuple(range(r))),)))
-    moves, power = _monomial(kind)
-    assert [p for p, _, _ in outs] == [p for p, _ in moves]
-    for j in range(2**r):
+    for j, (dest, power) in enumerate(basis_table(kind.name)):
         v = [1] + [(j >> (r - 1 - p)) & 1 for p in range(r)]
         for a, b in ands:
             v.append(v[a] & v[b])
-        for (_, first, rest), (_, bit) in zip(outs, moves):
-            assert (v[first] + sum(v[s] for s in rest)) % 2 == bit[j]
-        assert sum(c * v[s] for c, s in adds) % 4 == (0 if power is None else power[j])
+        out = v[1 : r + 1]
+        for p, first, rest in outs:
+            out[p] = (v[first] + sum(v[s] for s in rest)) % 2
+        assert out == [(dest >> (r - 1 - p)) & 1 for p in range(r)]
+        assert sum(c * v[s] for c, s in adds) % 4 == power
+
+
+@pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (0.0, 2 * np.pi), (np.pi / 2, np.pi)])
+def test_fsim_is_refused_at_every_angle(theta, phi):
+    # fsim(0, 0) is an exact identity and fsim(0, 2 pi) a near one; no angle
+    # makes fsim a declared kind
+    g = Gate(gates.fsim(theta, phi), (0, 1))
+    named = rf"^not a SWAP-network circuit: gate 0 \({re.escape(str(g))}\) is not monomial$"
+    with pytest.raises(ValueError, match=named):
+        basis_steps(Circuit(2, (g,)))
 
 
 def test_bit_matrix_bound_is_two_to_the_24_entries():
@@ -413,9 +425,9 @@ def test_circuit_unitary_matches_dense_oracle():
 
 def test_circuit_unitary_examples():
     c = Circuit(2, (Gate(gates.SWAP, (0, 1)),))
-    assert np.array_equal(circuit_unitary(c), gate_matrix(gates.SWAP))
+    assert np.array_equal(circuit_unitary(c), matrix(gates.SWAP))
     c2 = Circuit(2, (Gate(gates.ISWAP, (0, 1)), Gate(gates.CZ, (0, 1))))
-    assert np.max(np.abs(circuit_unitary(c2) - gate_matrix(gates.ISCZ))) <= TOL
+    assert np.max(np.abs(circuit_unitary(c2) - matrix(gates.ISCZ))) <= TOL
 
 
 def test_circuit_unitary_cap():
